@@ -105,11 +105,18 @@ impl PinPolicy {
     }
 }
 
-/// The host's available parallelism (1 when unknown).
+/// The host's available parallelism (1 when unknown), snapshotted on the
+/// first call. `available_parallelism()` honours the *calling thread's*
+/// affinity mask, so re-reading it from a thread that has pinned itself
+/// reports one core — `pin_to_core` would then refuse every other core
+/// and the oversubscription checks would misfire.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Bind the calling thread to `core`. Returns `false` — leaving the
@@ -344,6 +351,23 @@ mod tests {
         // panic — the thread just stays unpinned.
         assert!(!pin_to_core(available_cores()));
         assert!(!pin_to_core(usize::MAX));
+    }
+
+    /// Regression: the count must not shrink to the caller's own mask
+    /// once the caller is pinned. Runs on a thread of its own so the pin
+    /// dies with it.
+    #[test]
+    fn core_count_survives_pinning_the_caller() {
+        std::thread::spawn(|| {
+            let before = available_cores();
+            if pin_to_core(0) {
+                assert_eq!(available_cores(), before);
+                // Every core the host has stays a valid pin target.
+                assert!(pin_to_core(before - 1));
+            }
+        })
+        .join()
+        .expect("pinned probe thread");
     }
 
     #[test]

@@ -656,6 +656,17 @@ impl Database {
         Some((v, tree.leaf_scan_rts(leaf), tree.leaf_del_wts(leaf)))
     }
 
+    /// Diagnostics: how many of `table`'s tuples have allocated their
+    /// lazily created slow-path state ([`crate::meta::Aux`]).
+    #[doc(hidden)]
+    pub fn debug_aux_allocated(&self, table: TableId) -> u64 {
+        let rows = self.table_len(table) as usize;
+        self.meta[table as usize][..rows]
+            .iter()
+            .filter(|m| m.has_aux())
+            .count() as u64
+    }
+
     /// Index-health snapshot for `table` — the regression surface the
     /// bench binaries export (hash chain length, B+-tree shape).
     pub fn index_health(&self, table: TableId) -> IndexHealth {
@@ -762,9 +773,9 @@ impl Database {
     }
 
     /// Order-independent digest of the committed state: every live key's
-    /// row bytes (via [`Database::peek`], so MVCC version chains resolve),
-    /// folded per table. Quiescent use only — the recovery tests compare
-    /// a recovered database against a reference run with this.
+    /// row bytes (via [`Database::peek`]), folded per table. Quiescent use
+    /// only — the recovery tests compare a recovered database against a
+    /// reference run with this.
     pub fn state_digest(&self) -> u64 {
         let mut digest = 0u64;
         for (tid, index) in self.indexes.iter().enumerate() {
@@ -802,21 +813,9 @@ impl Database {
     /// verification only (no concurrency control!).
     pub fn peek(&self, table: TableId, key: Key) -> Result<Vec<u8>, DbError> {
         let row = self.index_get(table, key)?;
-        let t = &self.tables[table as usize];
-        // For MVCC the table row may be stale (committed data lives in the
-        // version chain); return the newest version instead.
-        if self.cfg.scheme == CcScheme::Mvcc {
-            let meta = self.row_meta(table, row);
-            let chain = meta.mvcc_chain(|| {
-                // SAFETY: quiescent access (documented contract of peek).
-                unsafe { t.row(row).to_vec().into_boxed_slice() }
-            });
-            if let Some(v) = chain.versions.back() {
-                return Ok(v.data.to_vec());
-            }
-        }
+        // Every scheme keeps the newest committed image in the arena row.
         // SAFETY: quiescent access (documented contract of peek).
-        Ok(unsafe { t.row(row).to_vec() })
+        Ok(unsafe { self.tables[table as usize].row(row).to_vec() })
     }
 
     /// Sum a `u64` column over all rows of `table` — post-run invariant
@@ -825,14 +824,6 @@ impl Database {
         let t = &self.tables[table as usize];
         let mut sum = 0u64;
         for row in 0..t.len() {
-            if self.cfg.scheme == CcScheme::Mvcc {
-                let meta = self.row_meta(table, row);
-                let chain = meta.mvcc_chain(|| unsafe { t.row(row).to_vec().into_boxed_slice() });
-                if let Some(v) = chain.versions.back() {
-                    sum = sum.wrapping_add(abyss_storage::row::get_u64(t.schema(), &v.data, col));
-                    continue;
-                }
-            }
             // SAFETY: quiescent access (documented contract).
             let data = unsafe { t.row(row) };
             sum = sum.wrapping_add(abyss_storage::row::get_u64(t.schema(), data, col));

@@ -1,6 +1,6 @@
 //! Lock-word encodings.
 //!
-//! Three single-word protocols cover the lock-free fast paths:
+//! Four single-word protocols cover the per-tuple fast paths:
 //!
 //! * [`rw`] — a shared/exclusive count word for the 2PL schemes:
 //!   bit 63 = writer present, bits 0..32 = reader count. NO_WAIT runs
@@ -13,6 +13,10 @@
 //!   bit: bit 63 = locked, bits 48..=62 = `rts − wts` delta, bits 0..=47 =
 //!   `wts`. Sharing bit 63 with [`silo`] lets TICTOC reuse OCC's seqlock
 //!   copy and canonical-order latch machinery unchanged.
+//! * [`to`] — the TIMESTAMP/MVCC tuple header: bit 63 = latch, bit 62 =
+//!   "a prewrite is pending", bit 61 = "superseded versions exist", bits
+//!   0..=60 = `wts` of the newest committed version. Everything a conflict-free access needs, in the word the
+//!   latch CAS already owns.
 
 /// Shared/exclusive reader-writer word.
 pub mod rw {
@@ -163,6 +167,73 @@ pub mod tictoc {
     #[inline]
     pub fn extend_rts(w: u64, to: u64) -> u64 {
         (w & LOCKED) | pack(wts(w), rts(w).max(to))
+    }
+}
+
+/// T/O-family tuple header (TIMESTAMP and MVCC).
+///
+/// ```text
+///  63       62        61      60............0
+/// [latch][pending][history][      wts       ]
+/// ```
+///
+/// The latch bit is the tuple's spin latch (`crate::meta::RowMeta::to_latch`);
+/// `wts` is the timestamp of the newest committed version, whose image
+/// lives in the table arena; `pending` says the tuple's lazily allocated
+/// `Aux` holds at least one uncommitted prewrite (waiters only ever queue
+/// behind a prewrite, so the one flag covers both); `history` (MVCC) says
+/// it holds superseded versions. A reader that finds `wts <= ts` and
+/// `pending` clear needs nothing but this word and `rts`, and one that
+/// finds `wts > ts` with `history` clear knows the tuple postdates it.
+pub mod to {
+    /// Latch bit.
+    pub const LATCH: u64 = 1 << 63;
+    /// An uncommitted prewrite is registered in the tuple's `Aux`.
+    pub const PENDING: u64 = 1 << 62;
+    /// MVCC: superseded versions are parked in the tuple's `Aux`.
+    pub const HISTORY: u64 = 1 << 61;
+    /// Bits of the word holding `wts`.
+    pub const WTS_BITS: u32 = 61;
+    /// Mask of the `wts` component — also the largest representable
+    /// timestamp (a clock timestamp reaches it after ~25 days of uptime).
+    pub const WTS_MASK: u64 = (1 << WTS_BITS) - 1;
+    /// `wts` of a deleted tuple: above every allocatable timestamp, so any
+    /// access through a stale row reference fails its `ts >= wts` check.
+    pub const TOMBSTONE: u64 = WTS_MASK;
+
+    /// The write timestamp (ignores the flag bits).
+    #[inline]
+    pub fn wts(h: u64) -> u64 {
+        h & WTS_MASK
+    }
+
+    /// Is a prewrite pending?
+    #[inline]
+    pub fn is_pending(h: u64) -> bool {
+        h & PENDING != 0
+    }
+
+    /// Does the tuple have superseded versions?
+    #[inline]
+    pub fn has_history(h: u64) -> bool {
+        h & HISTORY != 0
+    }
+
+    /// The header with `wts` replaced, flags preserved.
+    #[inline]
+    pub fn with_wts(h: u64, wts: u64) -> u64 {
+        assert!(wts <= WTS_MASK, "timestamp {wts} overflows {WTS_BITS} bits");
+        (h & !WTS_MASK) | wts
+    }
+
+    /// The header with the pending flag set or cleared.
+    #[inline]
+    pub fn with_pending(h: u64, pending: bool) -> u64 {
+        if pending {
+            h | PENDING
+        } else {
+            h & !PENDING
+        }
     }
 }
 

@@ -61,12 +61,9 @@ impl ParkTable {
     pub fn new(workers: u32) -> Self {
         let mut v = Vec::with_capacity(workers as usize);
         v.resize_with(workers as usize, || Padded::new(AtomicU32::new(IDLE)));
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
         Self {
             flags: v.into_boxed_slice(),
-            early_yield: AtomicBool::new(workers as usize > cores),
+            early_yield: AtomicBool::new(workers as usize > abyss_common::available_cores()),
         }
     }
 
@@ -227,9 +224,7 @@ mod tests {
 
     #[test]
     fn early_yield_engages_on_oversubscription() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let cores = abyss_common::available_cores();
         let pt = ParkTable::new((cores + 1) as u32);
         assert!(pt.early_yield(), "workers > cores must collapse the ladder");
         let pt = ParkTable::new(1);

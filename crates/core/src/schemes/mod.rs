@@ -75,6 +75,31 @@ pub struct SchemeEnv<'a> {
 }
 
 impl SchemeEnv<'_> {
+    /// Hand a private row copy to the transaction's read buffer.
+    #[inline]
+    pub(crate) fn push_read_copy(
+        &mut self,
+        table: TableId,
+        row: RowIdx,
+        data: abyss_storage::mempool::PoolBlock,
+    ) -> ReadRef {
+        self.st.rbuf.push(crate::txn::ReadCopy { table, row, data });
+        ReadRef::Rbuf(self.st.rbuf.len() - 1)
+    }
+
+    /// Read-own-write for the buffering schemes: when this transaction
+    /// already holds a private image of `(table, row)`, serve the read
+    /// from a copy of it.
+    pub(crate) fn read_own_write(&mut self, table: TableId, row: RowIdx) -> Option<ReadRef> {
+        let i = self.st.wbuf_idx(table, row)?;
+        let len = self.db.tables[table as usize].row_size();
+        // Uninit is safe: the row prefix is overwritten here and readers
+        // only ever see `data[..row_size]`.
+        let mut copy = self.pool.alloc_uninit(len);
+        copy[..len].copy_from_slice(&self.st.wbuf[i].data[..len]);
+        Some(self.push_read_copy(table, row, copy))
+    }
+
     /// Close out a blocking wait that `started` opened: charge the §3.2
     /// Wait category and, when tracing is on, emit the attempt's
     /// `FirstConflict` (once) plus the `WaitStart`/`WaitEnd` pair — the

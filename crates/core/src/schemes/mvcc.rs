@@ -1,32 +1,42 @@
 //! MVCC — multi-version timestamp ordering (§2.2).
 //!
-//! Every committed write appends a version tagged with the writer's
-//! timestamp to the tuple's chain ([`crate::meta::MvccChain`]). Reads find
-//! the newest version with `wts ≤ ts` — they are never rejected for
-//! arriving "late" (the paper's headline benefit: non-blocking reads under
-//! read-mostly mixes, Fig. 13) — but must wait when an *uncommitted* write
-//! with a timestamp between that version and the reader is pending.
-//! Writes follow MVTO: if the visible version has already been read by a
+//! The **newest committed version lives in place in the table arena**,
+//! described by the tuple's header word (`wts`, a latch bit, a
+//! pending-prewrite flag — [`crate::lockword::to`]) and the `rts` beside
+//! it. A committed write moves the superseded image, tagged with its
+//! `wts`, into the tuple's bounded history ([`crate::meta::ToLatch::supersede`])
+//! and the new image into the arena: while the history is growing the
+//! workspace block swaps contents with the arena row and becomes the
+//! entry; once it is full the evicted slot is refilled in place, so a hot
+//! tuple's commit is two block copies and no allocator or pool traffic.
+//!
+//! Reads find the newest version with `wts ≤ ts` — they are never
+//! rejected for arriving "late" (the paper's headline benefit:
+//! non-blocking reads under read-mostly mixes, Fig. 13) — but must wait
+//! when an *uncommitted* write with a timestamp between that version and
+//! the reader is pending. The common read (`wts ≤ ts`, nothing pending)
+//! touches only the header, `rts` and the arena row; only a reader whose
+//! snapshot predates the newest version walks the history, and it never
+//! waits there (every prewrite is above the newest `wts`).
+//! Writes follow MVTO: if the newest version has already been read by a
 //! later transaction (`rts > ts`) or a newer committed version exists, the
 //! writer aborts.
 //!
-//! Chains are garbage-collected to `mvcc_max_versions`; a reader whose
-//! timestamp predates the oldest retained version aborts (practically
-//! unobserved — it would need to lag by `max_versions` commits).
+//! A tuple keeps `mvcc_max_versions` versions (the arena row plus
+//! `mvcc_max_versions − 1` superseded ones); a reader whose timestamp
+//! predates the oldest retained version aborts (practically unobserved —
+//! it would need to lag by `max_versions` commits).
 
-use std::time::{Duration, Instant};
-
-use abyss_common::{AbortReason, Key, RowIdx, TableId};
+use abyss_common::{AbortReason, CcScheme, Key, RowIdx, TableId, Ts};
 use abyss_storage::Schema;
 
-use abyss_common::CcScheme;
-
-use super::{CcProtocol, ReadRef, SchemeEnv};
-use crate::meta::{TsWaiter, Version};
-use crate::txn::{DeleteEntry, InsertEntry, ReadCopy, WriteEntry};
+use super::timestamp::park_behind_prewrite;
+use super::{timestamp, CcProtocol, ReadRef, SchemeEnv};
+use crate::meta::ToLatch;
 use crate::worker::{TxnError, WorkerCtx};
 
-/// Multi-version timestamp ordering (version chains per tuple).
+/// Multi-version timestamp ordering (newest version in place, older
+/// versions in a bounded per-tuple history).
 pub struct Mvcc;
 
 impl CcProtocol for Mvcc {
@@ -44,7 +54,7 @@ impl CcProtocol for Mvcc {
         row: RowIdx,
         f: impl FnOnce(&Schema, &mut [u8]),
     ) -> Result<(), AbortReason> {
-        write(env, table, row, f)
+        timestamp::write(env, table, row, f, admit_write)
     }
 
     #[inline]
@@ -54,7 +64,7 @@ impl CcProtocol for Mvcc {
         key: Key,
         f: impl FnOnce(&Schema, &mut [u8]),
     ) -> Result<(), AbortReason> {
-        insert(env, table, key, f)
+        timestamp::insert(env, table, key, f)
     }
 
     #[inline]
@@ -64,7 +74,7 @@ impl CcProtocol for Mvcc {
         key: Key,
         row: RowIdx,
     ) -> Result<(), AbortReason> {
-        delete(env, table, key, row)
+        timestamp::delete(env, table, key, row, admit_write)
     }
 
     /// Snapshot-bounded scan read: rows created after this snapshot are
@@ -94,16 +104,7 @@ impl CcProtocol for Mvcc {
     }
 
     fn abort(env: &mut SchemeEnv<'_>) {
-        abort(env);
-    }
-}
-
-/// Copy the current table row — the chain's initial version on first touch.
-fn seed<'a>(t: &'a abyss_storage::Table, row: RowIdx) -> impl FnOnce() -> Box<[u8]> + 'a {
-    move || {
-        // SAFETY: MVCC never writes the arena row after load; the loaded
-        // image is immutable.
-        unsafe { t.row(row) }.to_vec().into_boxed_slice()
+        timestamp::abort(env);
     }
 }
 
@@ -126,228 +127,99 @@ pub(super) fn read_visible(
     table: TableId,
     row: RowIdx,
 ) -> Result<Option<ReadRef>, AbortReason> {
-    if let Some(i) = env.st.wbuf_idx(table, row) {
-        let mut copy = env.pool.alloc(env.st.wbuf[i].data.capacity());
-        copy.as_mut_slice().copy_from_slice(&env.st.wbuf[i].data);
-        env.st.rbuf.push(ReadCopy {
-            table,
-            row,
-            data: copy,
-        });
-        return Ok(Some(ReadRef::Rbuf(env.st.rbuf.len() - 1)));
+    if let Some(r) = env.read_own_write(table, row) {
+        return Ok(Some(r));
     }
     let ts = env.st.ts;
-    let me = env.st.txn_id;
-    let started = Instant::now();
-    let deadline = started + Duration::from_micros(env.db.cfg.wait_cap_us);
+    let t = &env.db.tables[table as usize];
+    let len = t.row_size();
     loop {
-        let t = &env.db.tables[table as usize];
-        {
-            let meta = env.db.row_meta(table, row);
-            let mut chain = meta.mvcc_chain(seed(t, row));
-            let Some(vi) = chain.visible_version(ts) else {
+        let latch = env.db.row_meta(table, row).to_latch();
+        let wts = latch.wts();
+        if ts < wts {
+            // Snapshot predates the arena row: serve a superseded version.
+            // No wait is possible here — every prewrite is above `wts`.
+            if !latch.has_history() {
+                return Ok(None);
+            }
+            let s = latch.state();
+            let Some(v) = s.visible_old(ts) else {
                 return Ok(None);
             };
-            let vwts = chain.versions[vi].wts;
-            let pending = chain
-                .prewrites
-                .iter()
-                .any(|&(p, t2)| p > vwts && p < ts && t2 != me);
-            if !pending {
-                let v = &mut chain.versions[vi];
-                v.rts = v.rts.max(ts);
-                let mut buf = env.pool.alloc(v.data.len());
-                buf[..v.data.len()].copy_from_slice(&v.data);
-                env.st.rbuf.push(ReadCopy {
-                    table,
-                    row,
-                    data: buf,
-                });
-                return Ok(Some(ReadRef::Rbuf(env.st.rbuf.len() - 1)));
-            }
-            env.db.park.arm(env.worker);
-            chain.waiters.push(TsWaiter {
-                ts,
-                worker: env.worker,
+            // Uninit is safe: the row prefix is overwritten here and
+            // readers only ever see `buf[..row_size]`.
+            let mut buf = env.pool.alloc_uninit(len);
+            buf[..len].copy_from_slice(&v.data[..len]);
+            drop(s);
+            drop(latch);
+            return Ok(Some(env.push_read_copy(table, row, buf)));
+        }
+        if latch.is_pending() && latch.state().pending_between(wts, ts, env.st.txn_id) {
+            park_behind_prewrite(env, latch, table, row)?;
+            continue;
+        }
+        latch.bump_rts(ts);
+        let mut buf = env.pool.alloc_uninit(len);
+        // SAFETY: the arena row is only written under this tuple's latch
+        // (see commit), which we hold.
+        unsafe { t.copy_row_into(row, &mut buf) };
+        drop(latch);
+        return Ok(Some(env.push_read_copy(table, row, buf)));
+    }
+}
+
+/// Admit a write-class access (RMW or delete) under the MVTO rules: the
+/// newest version must be the one visible at `ts` and unread by any later
+/// transaction (the `rts` check is also what stops a delete from
+/// serializing before a scan that already observed the row), with no
+/// interfering prewrite. Returns with the tuple latched, `rts` advanced
+/// (the access reads the newest version) and the prewrite registered.
+fn admit_write<'a>(
+    env: &mut SchemeEnv<'a>,
+    table: TableId,
+    row: RowIdx,
+) -> Result<ToLatch<'a>, AbortReason> {
+    let ts = env.st.ts;
+    let me = env.st.txn_id;
+    loop {
+        let mut latch = env.db.row_meta(table, row).to_latch();
+        let wts = latch.wts();
+        if ts < wts {
+            // A committed version newer than ts exists. If ts can still
+            // see a superseded one this is a write conflict; otherwise
+            // the snapshot is gone altogether.
+            let visible = latch.has_history() && latch.state().visible_old(ts).is_some();
+            return Err(if visible {
+                AbortReason::MvccWriteConflict
+            } else {
+                AbortReason::TsOrderViolation
             });
         }
-        let out = env.db.park.wait(env.worker, deadline);
-        env.record_wait(started);
-        if out == crate::park::WaitOutcome::TimedOut {
-            let mut chain = env.db.row_meta(table, row).mvcc_chain(seed(t, row));
-            chain.waiters.retain(|w| w.worker != env.worker);
-            env.db.park.reset(env.worker);
-            return Err(AbortReason::WaitTimeout);
+        if latch.rts() > ts {
+            // A later reader already saw the version we would replace.
+            return Err(AbortReason::MvccWriteConflict);
         }
-    }
-}
-
-/// MVCC read-modify-write (see module docs).
-fn write(
-    env: &mut SchemeEnv<'_>,
-    table: TableId,
-    row: RowIdx,
-    f: impl FnOnce(&Schema, &mut [u8]),
-) -> Result<(), AbortReason> {
-    if let Some(i) = env.st.wbuf_idx(table, row) {
-        let schema = env.db.tables[table as usize].schema();
-        f(schema, env.st.wbuf[i].data.as_mut_slice());
-        return Ok(());
-    }
-    let ts = env.st.ts;
-    let me = env.st.txn_id;
-    let started = Instant::now();
-    let deadline = started + Duration::from_micros(env.db.cfg.wait_cap_us);
-    loop {
-        let t = &env.db.tables[table as usize];
-        let mut buf;
-        {
-            let meta = env.db.row_meta(table, row);
-            let mut chain = meta.mvcc_chain(seed(t, row));
-            let Some(vi) = chain.visible_version(ts) else {
-                return Err(AbortReason::TsOrderViolation);
-            };
-            // MVTO write rules.
-            if vi != chain.versions.len() - 1 {
-                // A committed version newer than ts exists.
-                return Err(AbortReason::MvccWriteConflict);
-            }
-            if chain.versions[vi].rts > ts {
-                // A later reader already saw the version we would replace.
-                return Err(AbortReason::MvccWriteConflict);
-            }
-            let vwts = chain.versions[vi].wts;
-            let pending = chain
-                .prewrites
-                .iter()
-                .any(|&(p, t2)| p > vwts && p < ts && t2 != me);
-            if pending {
-                env.db.park.arm(env.worker);
-                chain.waiters.push(TsWaiter {
-                    ts,
-                    worker: env.worker,
-                });
-                drop(chain);
-                let out = env.db.park.wait(env.worker, deadline);
-                env.record_wait(started);
-                if out == crate::park::WaitOutcome::TimedOut {
-                    let mut chain = env.db.row_meta(table, row).mvcc_chain(seed(t, row));
-                    chain.waiters.retain(|w| w.worker != env.worker);
-                    env.db.park.reset(env.worker);
-                    return Err(AbortReason::WaitTimeout);
-                }
+        if latch.is_pending() {
+            let s = latch.state();
+            if s.pending_between(wts, ts, me) {
+                drop(s);
+                park_behind_prewrite(env, latch, table, row)?;
                 continue;
             }
-            // A pending prewrite *above* ts means a younger RMW writer based
-            // itself on the same version; its rts bump hasn't happened (it
-            // reads at its own ts > ours), but committing under it would
-            // hand it a stale base. MVTO resolution: abort the older writer.
-            if chain.prewrites.iter().any(|&(p, t2)| p > ts && t2 != me) {
+            // A pending prewrite *above* ts means a younger RMW writer
+            // based itself on the same version; its rts bump hasn't
+            // happened (it reads at its own ts > ours), but committing
+            // under it would hand it a stale base. MVTO resolution: abort
+            // the older writer.
+            if s.pending_between(ts, Ts::MAX, me) {
                 return Err(AbortReason::MvccWriteConflict);
             }
-            // The RMW reads the visible version.
-            let v = &mut chain.versions[vi];
-            v.rts = v.rts.max(ts);
-            buf = env.pool.alloc(v.data.len());
-            buf[..v.data.len()].copy_from_slice(&v.data);
-            chain.prewrites.push((ts, me));
         }
-        let schema = t.schema();
-        f(schema, &mut buf[..t.row_size()]);
-        env.st.wbuf.push(WriteEntry {
-            table,
-            row,
-            data: buf,
-        });
+        latch.bump_rts(ts);
+        latch.add_prewrite(ts, me);
         env.st.prewrites.push((table, row));
-        return Ok(());
+        return Ok(latch);
     }
-}
-
-/// MVCC delete: admitted under the MVTO write rules (newest version
-/// visible, `rts <= ts`, no interfering prewrites — the `rts` check is
-/// what stops a delete from serializing before a scan that already
-/// observed the row), then registered as a prewrite; the index entries
-/// are withdrawn at commit.
-fn delete(
-    env: &mut SchemeEnv<'_>,
-    table: TableId,
-    key: Key,
-    row: RowIdx,
-) -> Result<(), AbortReason> {
-    let ts = env.st.ts;
-    let me = env.st.txn_id;
-    let started = Instant::now();
-    let deadline = started + Duration::from_micros(env.db.cfg.wait_cap_us);
-    loop {
-        let t = &env.db.tables[table as usize];
-        {
-            let meta = env.db.row_meta(table, row);
-            let mut chain = meta.mvcc_chain(seed(t, row));
-            let Some(vi) = chain.visible_version(ts) else {
-                return Err(AbortReason::TsOrderViolation);
-            };
-            if vi != chain.versions.len() - 1 || chain.versions[vi].rts > ts {
-                return Err(AbortReason::MvccWriteConflict);
-            }
-            let vwts = chain.versions[vi].wts;
-            let pending = chain
-                .prewrites
-                .iter()
-                .any(|&(p, t2)| p > vwts && p < ts && t2 != me);
-            if pending {
-                env.db.park.arm(env.worker);
-                chain.waiters.push(TsWaiter {
-                    ts,
-                    worker: env.worker,
-                });
-                drop(chain);
-                let out = env.db.park.wait(env.worker, deadline);
-                env.record_wait(started);
-                if out == crate::park::WaitOutcome::TimedOut {
-                    let mut chain = env.db.row_meta(table, row).mvcc_chain(seed(t, row));
-                    chain.waiters.retain(|w| w.worker != env.worker);
-                    env.db.park.reset(env.worker);
-                    return Err(AbortReason::WaitTimeout);
-                }
-                continue;
-            }
-            if chain.prewrites.iter().any(|&(p, t2)| p > ts && t2 != me) {
-                return Err(AbortReason::MvccWriteConflict);
-            }
-            let v = &mut chain.versions[vi];
-            v.rts = v.rts.max(ts);
-            chain.prewrites.push((ts, me));
-        }
-        env.st.prewrites.push((table, row));
-        env.st.deletes.push(DeleteEntry {
-            table,
-            key,
-            row,
-            applied: false,
-        });
-        return Ok(());
-    }
-}
-
-/// MVCC insert: buffered; the new tuple's chain starts at commit.
-fn insert(
-    env: &mut SchemeEnv<'_>,
-    table: TableId,
-    key: Key,
-    f: impl FnOnce(&Schema, &mut [u8]),
-) -> Result<(), AbortReason> {
-    let t = &env.db.tables[table as usize];
-    let mut buf = env.pool.alloc(t.row_size());
-    f(t.schema(), &mut buf[..t.row_size()]);
-    env.st.inserts.push(InsertEntry {
-        table,
-        key,
-        row: None,
-        data: Some(buf),
-        indexed: false,
-    });
-    Ok(())
 }
 
 /// Commit: turn prewrites into committed versions; publish inserts.
@@ -358,50 +230,10 @@ fn insert(
 fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
     let ts = env.st.ts;
     let me = env.st.txn_id;
-    let max_versions = env.db.cfg.mvcc_max_versions;
+    // The arena row is one of the `mvcc_max_versions` (validated >= 2).
+    let max_old = env.db.cfg.mvcc_max_versions - 1;
 
-    {
-        let inserts = std::mem::take(&mut env.st.inserts);
-        let mut applied: Vec<(abyss_common::TableId, Key)> = Vec::new();
-        let mut failed = false;
-        for ins in inserts {
-            let t = &env.db.tables[ins.table as usize];
-            let data = ins.data.expect("buffered insert has an image");
-            if !failed {
-                if let Ok(row) = t.allocate_row() {
-                    // SAFETY: fresh unindexed row; also seeds the chain below.
-                    unsafe { t.row_mut(row) }.copy_from_slice(&data[..t.row_size()]);
-                    {
-                        let meta = env.db.row_meta(ins.table, row);
-                        let mut chain = meta.mvcc_chain(seed(t, row));
-                        // Replace the seed (wts 0) with the creation version.
-                        chain.versions[0].wts = ts;
-                        chain.versions[0].rts = ts;
-                    }
-                    // Gap check atomic with publication (leaf lock): a
-                    // committed scan with a *later* snapshot already
-                    // covered this leaf's range — planting a key behind
-                    // it would be a phantom — and an in-flight one fails
-                    // its leaf revalidation.
-                    match env.db.index_insert_guarded(ins.table, ins.key, row, ts) {
-                        Ok(crate::db::OrderedPublish::Done(_)) => {
-                            applied.push((ins.table, ins.key));
-                        }
-                        Ok(crate::db::OrderedPublish::GapProtected) | Err(_) => failed = true,
-                    }
-                } else {
-                    failed = true;
-                }
-            }
-            env.pool.free(data);
-        }
-        if failed {
-            for (table, key) in applied {
-                env.db.index_remove(table, key);
-            }
-            return Err(AbortReason::MvccWriteConflict);
-        }
-    }
+    timestamp::apply_inserts(env, AbortReason::MvccWriteConflict)?;
 
     // WAL commit point: inserts (the only fallible step) are published,
     // every prewrite is still pending — serialization is by `ts`.
@@ -419,25 +251,29 @@ fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
             continue;
         }
         let t = &env.db.tables[w.table as usize];
-        let meta = env.db.row_meta(w.table, w.row);
-        let mut chain = meta.mvcc_chain(seed(t, w.row));
-        chain.remove_prewrite(me);
-        debug_assert!(
-            chain.versions.back().map(|v| v.wts < ts).unwrap_or(true),
-            "version chain must stay ordered"
-        );
-        let data = w.data[..t.row_size()].to_vec().into_boxed_slice();
-        chain.versions.push_back(Version {
-            wts: ts,
-            rts: ts,
-            data,
+        let mut latch = env.db.row_meta(w.table, w.row).to_latch();
+        // SAFETY: the arena row is only touched under the tuple latch.
+        let newest = unsafe { t.row_mut(w.row) };
+        let len = newest.len();
+        let pool = &mut *env.pool;
+        latch.supersede(ts, max_old, |evicted| match evicted {
+            // History full: refill the evicted slot in place, so a hot
+            // tuple's commits leave the pool alone.
+            Some(mut slot) => {
+                slot[..len].copy_from_slice(newest);
+                newest.copy_from_slice(&w.data[..len]);
+                pool.free(w.data);
+                slot
+            }
+            // Still growing: the workspace block takes the superseded
+            // image in exchange for the new one and becomes the entry.
+            None => {
+                let mut block = w.data;
+                newest.swap_with_slice(&mut block[..len]);
+                block
+            }
         });
-        chain.gc(max_versions);
-        for waiter in chain.waiters.drain(..) {
-            env.db.park.grant(waiter.worker);
-        }
-        drop(chain);
-        env.pool.free(w.data);
+        latch.resolve_prewrites(me, |w| env.db.park.grant(w));
     }
     // Deletes: pull the key out of the indexes FIRST — while the prewrite
     // is still pending, so any reader that finds the stale row reference
@@ -448,29 +284,10 @@ fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
     // abort on `del_wts` (raised atomically with the removal, under the
     // leaf lock).
     for d in std::mem::take(&mut env.st.deletes) {
-        let t = &env.db.tables[d.table as usize];
         env.db.index_remove_tagged(d.table, d.key, ts);
-        {
-            let mut chain = env.db.row_meta(d.table, d.row).mvcc_chain(seed(t, d.row));
-            chain.remove_prewrite(me);
-            for waiter in chain.waiters.drain(..) {
-                env.db.park.grant(waiter.worker);
-            }
-        }
+        let mut latch = env.db.row_meta(d.table, d.row).to_latch();
+        latch.resolve_prewrites(me, |w| env.db.park.grant(w));
     }
     env.st.prewrites.clear();
     Ok(())
-}
-
-/// Abort: withdraw prewrites and wake blocked readers/writers.
-fn abort(env: &mut SchemeEnv<'_>) {
-    let me = env.st.txn_id;
-    for (table, row) in std::mem::take(&mut env.st.prewrites) {
-        let t = &env.db.tables[table as usize];
-        let mut chain = env.db.row_meta(table, row).mvcc_chain(seed(t, row));
-        chain.remove_prewrite(me);
-        for waiter in chain.waiters.drain(..) {
-            env.db.park.grant(waiter.worker);
-        }
-    }
 }

@@ -23,7 +23,7 @@ use abyss_common::CcScheme;
 
 use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::lockword::silo;
-use crate::txn::{DeleteEntry, InsertEntry, ReadCopy, ReadEntry, WriteEntry};
+use crate::txn::{DeleteEntry, InsertEntry, ReadEntry, WriteEntry};
 use crate::worker::{TxnError, WorkerCtx};
 
 /// Optimistic concurrency control with per-tuple (distributed) validation.
@@ -141,15 +141,8 @@ pub(super) fn read(
     table: TableId,
     row: RowIdx,
 ) -> Result<ReadRef, AbortReason> {
-    if let Some(i) = env.st.wbuf_idx(table, row) {
-        let mut copy = env.pool.alloc(env.st.wbuf[i].data.capacity());
-        copy.as_mut_slice().copy_from_slice(&env.st.wbuf[i].data);
-        env.st.rbuf.push(ReadCopy {
-            table,
-            row,
-            data: copy,
-        });
-        return Ok(ReadRef::Rbuf(env.st.rbuf.len() - 1));
+    if let Some(r) = env.read_own_write(table, row) {
+        return Ok(r);
     }
     let (buf, version) = stable_copy(env, table, row)?;
     env.st.rset.push(ReadEntry {
@@ -157,12 +150,7 @@ pub(super) fn read(
         row,
         version,
     });
-    env.st.rbuf.push(ReadCopy {
-        table,
-        row,
-        data: buf,
-    });
-    Ok(ReadRef::Rbuf(env.st.rbuf.len() - 1))
+    Ok(env.push_read_copy(table, row, buf))
 }
 
 /// OCC write: read-modify-write into the private workspace.

@@ -1,9 +1,13 @@
 //! TIMESTAMP — basic timestamp ordering with a decentralized (per-tuple)
 //! scheduler, as in §2.2/§4.3 of the paper.
 //!
-//! Per-tuple state ([`crate::meta::TsState`]): the largest committed write
-//! timestamp `wts`, the largest read timestamp `rts`, and the set of
-//! uncommitted *prewrites*. The rules:
+//! Per-tuple state: the largest committed write timestamp `wts` and a
+//! latch bit in the tuple's header word ([`crate::lockword::to`]), the
+//! largest read timestamp `rts` beside it, and — only once a write has
+//! touched the tuple — the set of uncommitted *prewrites* and the readers
+//! parked behind them ([`crate::meta::ToState`]). A conflict-free access
+//! is one latch CAS, the header checks, the row copy and the unlatching
+//! store. The rules:
 //!
 //! * `read(ts)` rejects if `ts < wts`; waits while a prewrite with a
 //!   smaller timestamp is pending (its value is "not ready yet", §3.2
@@ -23,14 +27,13 @@
 
 use std::time::{Duration, Instant};
 
-use abyss_common::{AbortReason, Key, RowIdx, TableId};
+use abyss_common::{AbortReason, CcScheme, Key, RowIdx, TableId};
 use abyss_storage::Schema;
 
-use abyss_common::CcScheme;
-
 use super::{CcProtocol, ReadRef, SchemeEnv};
-use crate::meta::TsWaiter;
-use crate::txn::{DeleteEntry, InsertEntry, ReadCopy, WriteEntry};
+use crate::lockword::to;
+use crate::meta::ToLatch;
+use crate::txn::{DeleteEntry, InsertEntry, WriteEntry};
 use crate::worker::{TxnError, WorkerCtx};
 
 /// Basic timestamp ordering with per-tuple read/write timestamps.
@@ -51,7 +54,7 @@ impl CcProtocol for Timestamp {
         row: RowIdx,
         f: impl FnOnce(&Schema, &mut [u8]),
     ) -> Result<(), AbortReason> {
-        write(env, table, row, f)
+        write(env, table, row, f, admit_write)
     }
 
     #[inline]
@@ -71,7 +74,7 @@ impl CcProtocol for Timestamp {
         key: Key,
         row: RowIdx,
     ) -> Result<(), AbortReason> {
-        delete(env, table, key, row)
+        delete(env, table, key, row, admit_write)
     }
 
     #[inline]
@@ -94,180 +97,159 @@ impl CcProtocol for Timestamp {
     }
 }
 
-/// Block until no prewrite below `ts` is pending on the tuple, or fail.
-/// Returns with the tuple latch *released*; callers re-latch and re-check.
-fn wait_for_prewrites(
+/// Park behind the pending prewrite found under `latch`, releasing the
+/// latch. `Ok` means "woken — re-latch and re-check"; the clock is read
+/// only here, once the caller is certain to park. Shared with MVCC.
+pub(super) fn park_behind_prewrite(
     env: &mut SchemeEnv<'_>,
+    latch: ToLatch<'_>,
     table: TableId,
     row: RowIdx,
 ) -> Result<(), AbortReason> {
+    // Arm before publishing the waiter so a grant cannot race ahead.
+    env.db.park.arm(env.worker);
+    latch.add_waiter(env.worker);
+    drop(latch);
     let started = Instant::now();
     let deadline = started + Duration::from_micros(env.db.cfg.wait_cap_us);
-    let me = env.st.txn_id;
-    let ts = env.st.ts;
-    loop {
-        {
-            let mut s = env.db.row_meta(table, row).ts_state();
-            let pending_other = s.prewrites.iter().any(|&(p, t)| p < ts && t != me);
-            if !pending_other {
-                return Ok(());
-            }
-            env.db.park.arm(env.worker);
-            s.waiters.push(TsWaiter {
-                ts,
-                worker: env.worker,
-            });
-        }
-        let out = env.db.park.wait(env.worker, deadline);
-        env.record_wait(started);
-        match out {
-            crate::park::WaitOutcome::Granted => continue,
-            crate::park::WaitOutcome::TimedOut => {
-                let mut s = env.db.row_meta(table, row).ts_state();
-                s.waiters.retain(|w| w.worker != env.worker);
-                env.db.park.reset(env.worker);
-                return Err(AbortReason::WaitTimeout);
-            }
-        }
+    let out = env.db.park.wait(env.worker, deadline);
+    env.record_wait(started);
+    if out == crate::park::WaitOutcome::TimedOut {
+        env.db
+            .row_meta(table, row)
+            .to_latch()
+            .remove_waiter(env.worker);
+        env.db.park.reset(env.worker);
+        return Err(AbortReason::WaitTimeout);
     }
+    Ok(())
 }
 
-/// Wake every waiter parked on the tuple (they re-check the prewrite set).
-fn wake_waiters(db: &crate::db::Database, s: &mut crate::meta::TsState) {
-    for w in s.waiters.drain(..) {
-        db.park.grant(w.worker);
+/// Abort: withdraw prewrites and wake anyone waiting on them (shared with
+/// MVCC).
+pub(super) fn abort(env: &mut SchemeEnv<'_>) {
+    let me = env.st.txn_id;
+    for (table, row) in std::mem::take(&mut env.st.prewrites) {
+        let mut latch = env.db.row_meta(table, row).to_latch();
+        latch.resolve_prewrites(me, |w| env.db.park.grant(w));
     }
 }
 
 /// T/O read (see module docs).
 fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef, AbortReason> {
-    // Read-own-write: serve from the private workspace.
-    if let Some(i) = env.st.wbuf_idx(table, row) {
-        let data = env.pool.alloc(env.st.wbuf[i].data.capacity());
-        let mut copy = data;
-        copy.as_mut_slice().copy_from_slice(&env.st.wbuf[i].data);
-        env.st.rbuf.push(ReadCopy {
-            table,
-            row,
-            data: copy,
-        });
-        return Ok(ReadRef::Rbuf(env.st.rbuf.len() - 1));
+    if let Some(r) = env.read_own_write(table, row) {
+        return Ok(r);
     }
     let ts = env.st.ts;
+    let t = &env.db.tables[table as usize];
     loop {
-        wait_for_prewrites(env, table, row)?;
-        let t = &env.db.tables[table as usize];
-        let meta = env.db.row_meta(table, row);
-        let mut s = meta.ts_state();
-        if ts < s.wts {
+        let latch = env.db.row_meta(table, row).to_latch();
+        if ts < latch.wts() {
             return Err(AbortReason::TsOrderViolation);
         }
-        // A smaller prewrite may have appeared between the wait and this
-        // re-latch; loop if so.
-        if s.prewrites
-            .iter()
-            .any(|&(p, t2)| p < ts && t2 != env.st.txn_id)
-        {
+        if latch.is_pending() && latch.state().pending_between(0, ts, env.st.txn_id) {
+            park_behind_prewrite(env, latch, table, row)?;
             continue;
         }
-        s.rts = s.rts.max(ts);
-        let mut buf = env.pool.alloc(t.row_size());
+        latch.bump_rts(ts);
+        // Uninit is safe: `copy_row_into` overwrites the full row and
+        // readers only ever see `buf[..row_size]`.
+        let mut buf = env.pool.alloc_uninit(t.row_size());
         // SAFETY: T/O writers install data only while holding this tuple's
         // latch (see commit), which we hold.
         unsafe { t.copy_row_into(row, &mut buf) };
-        env.st.rbuf.push(ReadCopy {
-            table,
-            row,
-            data: buf,
-        });
-        return Ok(ReadRef::Rbuf(env.st.rbuf.len() - 1));
+        drop(latch);
+        return Ok(env.push_read_copy(table, row, buf));
     }
 }
 
-/// T/O read-modify-write (see module docs).
-fn write(
+/// Admit a write-class access (RMW or delete) at the transaction's
+/// timestamp: `ts >= wts`, `ts >= rts` (the `rts` check is what stops a
+/// delete from serializing *before* a scan that already observed the
+/// row), no smaller prewrite pending. Returns with the tuple latched,
+/// `rts` advanced (the access reads the tuple) and the prewrite registered.
+fn admit_write<'a>(
+    env: &mut SchemeEnv<'a>,
+    table: TableId,
+    row: RowIdx,
+) -> Result<ToLatch<'a>, AbortReason> {
+    let ts = env.st.ts;
+    let me = env.st.txn_id;
+    loop {
+        let mut latch = env.db.row_meta(table, row).to_latch();
+        if ts < latch.wts() || ts < latch.rts() {
+            return Err(AbortReason::TsOrderViolation);
+        }
+        if latch.is_pending() && latch.state().pending_between(0, ts, me) {
+            park_behind_prewrite(env, latch, table, row)?;
+            continue;
+        }
+        latch.bump_rts(ts);
+        latch.add_prewrite(ts, me);
+        env.st.prewrites.push((table, row));
+        return Ok(latch);
+    }
+}
+
+/// T/O read-modify-write (see module docs). `admit` is the scheme's
+/// write-admission rule — the only part MVCC does differently.
+pub(super) fn write<A>(
     env: &mut SchemeEnv<'_>,
     table: TableId,
     row: RowIdx,
     f: impl FnOnce(&Schema, &mut [u8]),
-) -> Result<(), AbortReason> {
+    admit: A,
+) -> Result<(), AbortReason>
+where
+    A: for<'a> FnOnce(&mut SchemeEnv<'a>, TableId, RowIdx) -> Result<ToLatch<'a>, AbortReason>,
+{
     // Second write to the same tuple mutates the buffered image.
     if let Some(i) = env.st.wbuf_idx(table, row) {
         let schema = env.db.tables[table as usize].schema();
         f(schema, env.st.wbuf[i].data.as_mut_slice());
         return Ok(());
     }
-    let ts = env.st.ts;
-    loop {
-        wait_for_prewrites(env, table, row)?;
-        let t = &env.db.tables[table as usize];
-        let meta = env.db.row_meta(table, row);
-        let mut s = meta.ts_state();
-        if ts < s.wts || ts < s.rts {
-            return Err(AbortReason::TsOrderViolation);
-        }
-        if s.prewrites
-            .iter()
-            .any(|&(p, t2)| p < ts && t2 != env.st.txn_id)
-        {
-            continue;
-        }
-        // The RMW reads the tuple: advance rts as a reader would.
-        s.rts = s.rts.max(ts);
-        s.prewrites.push((ts, env.st.txn_id));
-        let mut buf = env.pool.alloc(t.row_size());
-        // SAFETY: latch held (see read).
-        unsafe { t.copy_row_into(row, &mut buf) };
-        drop(s);
-        f(t.schema(), &mut buf[..t.row_size()]);
-        env.st.wbuf.push(WriteEntry {
-            table,
-            row,
-            data: buf,
-        });
-        env.st.prewrites.push((table, row));
-        return Ok(());
-    }
+    let t = &env.db.tables[table as usize];
+    let latch = admit(env, table, row)?;
+    // The RMW reads the newest image.
+    let mut buf = env.pool.alloc_uninit(t.row_size());
+    // SAFETY: latch held (see read).
+    unsafe { t.copy_row_into(row, &mut buf) };
+    drop(latch);
+    f(t.schema(), &mut buf[..t.row_size()]);
+    env.st.wbuf.push(WriteEntry {
+        table,
+        row,
+        data: buf,
+    });
+    Ok(())
 }
 
-/// T/O delete: admitted under the write rules (`ts >= wts`, `ts >= rts`,
-/// no smaller pending prewrite — the `rts` check is what stops a delete
-/// from serializing *before* a scan that already observed the row), then
-/// registered as a prewrite. The index entries are withdrawn at commit.
-fn delete(
+/// T/O delete: admitted under the write rules (`admit`, as for
+/// [`write`]), then left as a pending prewrite. The index entries are
+/// withdrawn at commit.
+pub(super) fn delete<A>(
     env: &mut SchemeEnv<'_>,
     table: TableId,
     key: Key,
     row: RowIdx,
-) -> Result<(), AbortReason> {
-    let ts = env.st.ts;
-    let me = env.st.txn_id;
-    loop {
-        wait_for_prewrites(env, table, row)?;
-        let meta = env.db.row_meta(table, row);
-        let mut s = meta.ts_state();
-        if ts < s.wts || ts < s.rts {
-            return Err(AbortReason::TsOrderViolation);
-        }
-        if s.prewrites.iter().any(|&(p, t2)| p < ts && t2 != me) {
-            continue;
-        }
-        s.rts = s.rts.max(ts);
-        s.prewrites.push((ts, me));
-        drop(s);
-        env.st.prewrites.push((table, row));
-        env.st.deletes.push(DeleteEntry {
-            table,
-            key,
-            row,
-            applied: false,
-        });
-        return Ok(());
-    }
+    admit: A,
+) -> Result<(), AbortReason>
+where
+    A: for<'a> FnOnce(&mut SchemeEnv<'a>, TableId, RowIdx) -> Result<ToLatch<'a>, AbortReason>,
+{
+    drop(admit(env, table, row)?);
+    env.st.deletes.push(DeleteEntry {
+        table,
+        key,
+        row,
+        applied: false,
+    });
+    Ok(())
 }
 
-/// T/O insert: buffered; becomes visible at commit.
-fn insert(
+/// T/O insert: buffered; becomes visible at commit (shared with MVCC).
+pub(super) fn insert(
     env: &mut SchemeEnv<'_>,
     table: TableId,
     key: Key,
@@ -313,20 +295,18 @@ fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
             continue;
         }
         let t = &env.db.tables[w.table as usize];
-        let meta = env.db.row_meta(w.table, w.row);
-        let mut s = meta.ts_state();
+        let mut latch = env.db.row_meta(w.table, w.row).to_latch();
         debug_assert!(
-            s.wts <= ts,
+            latch.wts() <= ts,
             "commit of a stale prewrite (wts {} > ts {ts})",
-            s.wts
+            latch.wts()
         );
         // SAFETY: all T/O data access happens under the tuple latch.
         let data = unsafe { t.row_mut(w.row) };
         data.copy_from_slice(&w.data[..data.len()]);
-        s.wts = s.wts.max(ts);
-        s.remove_prewrite(me);
-        wake_waiters(env.db, &mut s);
-        drop(s);
+        latch.set_wts(latch.wts().max(ts));
+        latch.resolve_prewrites(me, |w| env.db.park.grant(w));
+        drop(latch);
         env.pool.free(w.data);
     }
     apply_deletes(env);
@@ -335,7 +315,7 @@ fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
 }
 
 /// Withdraw this transaction's deletes from the indexes. The tuple's
-/// `wts` is tombstoned to `u64::MAX` first, so a scanner holding a stale
+/// `wts` is tombstoned ([`to::TOMBSTONE`]) first, so a scanner holding a stale
 /// row reference from a pre-delete B+-tree snapshot aborts (read-too-late)
 /// instead of resurrecting the row; the leaf's `del_wts` tag then aborts
 /// scanners whose timestamp predates the delete but who arrive after it.
@@ -350,21 +330,20 @@ fn apply_deletes(env: &mut SchemeEnv<'_>) {
         // `del_wts` is raised atomically with the removal (leaf lock), so
         // a scan missing the key is guaranteed to see the tag.
         env.db.index_remove_tagged(d.table, d.key, ts);
-        let meta = env.db.row_meta(d.table, d.row);
-        let mut s = meta.ts_state();
-        s.wts = u64::MAX;
-        s.remove_prewrite(me);
-        wake_waiters(env.db, &mut s);
+        let mut latch = env.db.row_meta(d.table, d.row).to_latch();
+        latch.set_wts(to::TOMBSTONE);
+        latch.resolve_prewrites(me, |w| env.db.park.grant(w));
     }
 }
 
-/// Publish buffered inserts; new tuples start with `wts = rts = ts`.
+/// Publish buffered inserts; new tuples start with `wts = rts = ts`
+/// (shared with MVCC, where that is the tuple's first version).
 /// On a duplicate-key race (a conflict the timestamp checks cannot see),
 /// or when the target B+-tree leaf has already been scanned by a *later*
 /// timestamp (`scan_rts > ts` — committing would plant a phantom behind
 /// that scan), every already-published insert is withdrawn before `fail`
 /// returns, so the caller can abort cleanly.
-fn apply_inserts(env: &mut SchemeEnv<'_>, fail: AbortReason) -> Result<(), AbortReason> {
+pub(super) fn apply_inserts(env: &mut SchemeEnv<'_>, fail: AbortReason) -> Result<(), AbortReason> {
     let ts = env.st.ts;
     let inserts = std::mem::take(&mut env.st.inserts);
     let mut applied: Vec<(abyss_common::TableId, Key)> = Vec::new();
@@ -376,11 +355,10 @@ fn apply_inserts(env: &mut SchemeEnv<'_>, fail: AbortReason) -> Result<(), Abort
             if let Ok(row) = t.allocate_row() {
                 // SAFETY: fresh unindexed row.
                 unsafe { t.row_mut(row) }.copy_from_slice(&data[..t.row_size()]);
-                {
-                    let mut s = env.db.row_meta(ins.table, row).ts_state();
-                    s.wts = ts;
-                    s.rts = ts;
-                }
+                let mut latch = env.db.row_meta(ins.table, row).to_latch();
+                latch.set_wts(ts);
+                latch.bump_rts(ts);
+                drop(latch);
                 // The gap check (leaf `scan_rts` vs our timestamp) runs
                 // atomically with publication, under the leaf lock: a
                 // *committed* later scan left its tag behind and refuses
@@ -404,14 +382,4 @@ fn apply_inserts(env: &mut SchemeEnv<'_>, fail: AbortReason) -> Result<(), Abort
         return Err(fail);
     }
     Ok(())
-}
-
-/// Abort: withdraw prewrites and wake anyone waiting on them.
-fn abort(env: &mut SchemeEnv<'_>) {
-    let me = env.st.txn_id;
-    for (table, row) in std::mem::take(&mut env.st.prewrites) {
-        let mut s = env.db.row_meta(table, row).ts_state();
-        s.remove_prewrite(me);
-        wake_waiters(env.db, &mut s);
-    }
 }

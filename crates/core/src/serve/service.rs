@@ -87,10 +87,7 @@ impl TxnService {
         cfg.validate();
         assert!(!registry.is_empty(), "no stored procedures registered");
         let workers = db.config().workers;
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        if workers as usize + cfg.producer_hint as usize > cores {
+        if workers as usize + cfg.producer_hint as usize > abyss_common::available_cores() {
             // Producers + workers oversubscribe the machine: collapse the
             // park spin ladder so waiting workers yield the core early.
             db.park.set_early_yield(true);

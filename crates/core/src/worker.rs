@@ -276,9 +276,10 @@ impl<P: CcProtocol> WorkerCtx<P> {
 
     /// Read one `u64` column of `key`'s row.
     pub fn read_u64(&mut self, table: TableId, key: Key, col: usize) -> Result<u64, TxnError> {
-        let schema = self.db.schema(table).clone();
+        // Resolve the column before the read borrows `self` mutably.
+        let off = self.db.schema(table).offset(col);
         let data = self.read(table, key)?;
-        Ok(abyss_storage::row::get_u64(&schema, data, col))
+        Ok(abyss_storage::row::get_u64_at(data, off))
     }
 
     /// When logging is on: a pool block (plus the row length) to capture

@@ -10,7 +10,13 @@ use crate::catalog::Schema;
 /// Read a `u64` column.
 #[inline]
 pub fn get_u64(schema: &Schema, row: &[u8], col: usize) -> u64 {
-    let off = schema.offset(col);
+    get_u64_at(row, schema.offset(col))
+}
+
+/// Read the `u64` column at byte offset `off` (a [`Schema::offset`]
+/// resolved ahead of time).
+#[inline]
+pub fn get_u64_at(row: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(row[off..off + 8].try_into().expect("u64 column width"))
 }
 

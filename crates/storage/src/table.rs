@@ -18,8 +18,54 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use abyss_common::{DbError, RowIdx};
+use parking_lot::Mutex;
 
 use crate::catalog::Schema;
+
+/// Arenas at least this large are parked when their table drops. The
+/// global allocator maps anything past its 32 MiB mmap ceiling straight
+/// from the kernel and unmaps it on free, so every such arena is faulted
+/// in page by page on first touch — on the CI guest that costs more than
+/// loading the rows (≈40 ms vs ≈15 ms per 100 MB). Smaller arenas the
+/// allocator recycles by itself.
+const MIN_SPARE_BYTES: usize = 32 << 20;
+/// Parked arenas kept at most (oldest evicted first).
+const MAX_SPARES: usize = 4;
+
+/// A parked arena and the length of its allocated-row prefix — the only
+/// bytes that can be non-zero (and, for a table with insert headroom,
+/// the only pages ever faulted in; re-zeroing past it would touch the
+/// rest).
+type SpareArena = (Box<[UnsafeCell<u8>]>, usize);
+
+/// Arenas of dropped tables, already faulted in, waiting for the next
+/// table of the same size — a process that builds databases back to back
+/// (every benchmark and test binary) pays for the pages once. The same
+/// idea as the mempool's node arenas, one level up.
+static SPARE_ARENAS: Mutex<Vec<SpareArena>> = Mutex::new(Vec::new());
+
+/// A zeroed arena of `bytes` bytes: a parked one when the size matches,
+/// else a fresh allocation.
+fn zeroed_arena(bytes: usize) -> Box<[UnsafeCell<u8>]> {
+    let parked = {
+        let mut spares = SPARE_ARENAS.lock();
+        spares
+            .iter()
+            .position(|(a, _)| a.len() == bytes)
+            .map(|i| spares.remove(i))
+    };
+    if let Some((mut arena, used)) = parked {
+        // UnsafeCell<u8> is repr-transparent over u8.
+        // SAFETY: `arena` is an exclusively owned allocation of at least
+        // `used` bytes (`used` was a row-prefix length of this arena).
+        unsafe { std::ptr::write_bytes(arena.as_mut_ptr().cast::<u8>(), 0, used) };
+        return arena;
+    }
+    // A zeroed Vec (the allocator hands back untouched zero pages).
+    let mut v = Vec::with_capacity(bytes);
+    v.resize_with(bytes, || UnsafeCell::new(0));
+    v.into_boxed_slice()
+}
 
 /// A fixed-capacity, row-oriented in-memory table.
 pub struct Table {
@@ -39,16 +85,12 @@ impl Table {
     /// Allocate an arena for `capacity` rows of `schema`.
     pub fn new(schema: Schema, capacity: u64) -> Self {
         let row_size = schema.row_size();
-        let bytes = (capacity as usize) * row_size;
-        // UnsafeCell<u8> is repr-transparent over u8, so a zeroed Vec works.
-        let mut v = Vec::with_capacity(bytes);
-        v.resize_with(bytes, || UnsafeCell::new(0));
         Self {
             schema,
             capacity,
             row_size,
             next_slot: AtomicU64::new(0),
-            data: v.into_boxed_slice(),
+            data: zeroed_arena((capacity as usize) * row_size),
         }
     }
 
@@ -137,6 +179,19 @@ impl Table {
     }
 }
 
+impl Drop for Table {
+    fn drop(&mut self) {
+        if self.data.len() >= MIN_SPARE_BYTES {
+            let mut spares = SPARE_ARENAS.lock();
+            if spares.len() == MAX_SPARES {
+                spares.remove(0);
+            }
+            let used = self.len() as usize * self.row_size;
+            spares.push((std::mem::take(&mut self.data), used));
+        }
+    }
+}
+
 impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Table")
@@ -177,6 +232,45 @@ mod tests {
             row::set_u64(t.schema(), r, 0, 99);
             assert_eq!(row::get_u64(t.schema(), t.row(idx), 0), 99);
         }
+    }
+
+    #[test]
+    fn recycled_arena_comes_back_zeroed() {
+        // Rows of an otherwise unused size, so no sibling test can take or
+        // park an arena of the same length.
+        let schema = || Schema::key_plus_payload(1, MIN_SPARE_BYTES + 24);
+        let t = Table::new(schema(), 2);
+        let idx = t.allocate_row().unwrap();
+        let (addr, row_len) = {
+            let first = unsafe { t.row_mut(idx) };
+            first.fill(0xA5);
+            (first.as_ptr() as usize, first.len())
+        };
+        drop(t);
+        // Only the allocated prefix was dirtied, and only it is re-zeroed.
+        let used = SPARE_ARENAS
+            .lock()
+            .iter()
+            .find(|(a, _)| a.len() == row_len * 2)
+            .map(|&(_, used)| used);
+        assert_eq!(used, Some(row_len));
+        let t = Table::new(schema(), 2);
+        for _ in 0..2 {
+            let idx = t.allocate_row().unwrap();
+            let again = unsafe { t.row(idx) };
+            assert!(again.iter().all(|&b| b == 0), "handed out zeroed");
+        }
+        assert_eq!(
+            unsafe { t.row(0) }.as_ptr() as usize,
+            addr,
+            "the parked arena is reused"
+        );
+        // Arenas under the threshold are left to the allocator.
+        drop(Table::new(Schema::key_plus_payload(1, 8), 8));
+        assert!(SPARE_ARENAS
+            .lock()
+            .iter()
+            .all(|(a, used)| a.len() >= MIN_SPARE_BYTES && *used <= a.len()));
     }
 
     #[test]
