@@ -86,6 +86,9 @@ fn ns_per_tick() -> f64 {
 /// and are converted to nanoseconds once per attempt at flush time —
 /// seven multiplies per attempt instead of one per transition, which is
 /// what keeps the enabled clock inside the ≤1.05× overhead budget.
+/// [`Phase::Wait`] is the exception: no span is ever charged to it, and
+/// the park sites measure it in ns, so its bucket stays in exact ns — a
+/// ns → ticks → ns round trip would truncate every wait.
 #[derive(Debug)]
 pub struct PhaseClock {
     enabled: bool,
@@ -101,7 +104,8 @@ pub struct PhaseClock {
     rate: f64,
     /// ticks-per-ns, for converting the wait sites' measured ns inward.
     inv_rate: f64,
-    /// This attempt's per-phase *ticks*, converted to ns on flush.
+    /// This attempt's per-phase *ticks* (Wait: ns), converted to ns on
+    /// flush.
     scratch: PhaseBreakdown,
 }
 
@@ -147,6 +151,7 @@ impl PhaseClock {
         if !self.enabled {
             return;
         }
+        debug_assert_ne!(next, Phase::Wait, "waits go through note_wait");
         let now = ticks();
         let span = now.saturating_sub(self.since);
         self.scratch
@@ -157,17 +162,17 @@ impl PhaseClock {
     }
 
     /// Record `waited_ns` spent parked (measured by the caller with its
-    /// own clock). Charged to [`Phase::Wait`] now and deducted from the
-    /// enclosing span when it closes. Park sites are rare relative to
-    /// transitions, so the ns → ticks multiply is off the common path.
+    /// own clock). Charged to [`Phase::Wait`] now, in exact ns, and
+    /// deducted from the enclosing span when it closes. Park sites are
+    /// rare relative to transitions, so the ns → ticks multiply for the
+    /// deduction is off the common path.
     #[inline]
     pub fn note_wait(&mut self, waited_ns: u64) {
         if !self.enabled {
             return;
         }
-        let waited_ticks = (waited_ns as f64 * self.inv_rate) as u64;
-        self.scratch.record(Phase::Wait, waited_ticks);
-        self.wait_deduct += waited_ticks;
+        self.scratch.record(Phase::Wait, waited_ns);
+        self.wait_deduct += (waited_ns as f64 * self.inv_rate) as u64;
     }
 
     /// Convert the accumulated tick scratch to nanoseconds and reset it.
@@ -175,7 +180,9 @@ impl PhaseClock {
         let mut out = PhaseBreakdown::new();
         for p in Phase::ALL {
             let t = self.scratch.get(p);
-            if t != 0 {
+            if p == Phase::Wait {
+                out.record(p, t);
+            } else if t != 0 {
                 out.record(p, (t as f64 * self.rate) as u64);
             }
         }
