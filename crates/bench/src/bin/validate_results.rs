@@ -17,11 +17,10 @@
 //!   OCC pays the allocator (the contrast the figure is about).
 //! * `fig_regulate` — the adaptive backoff controller matches or beats
 //!   the fixed schedule for at least one OCC-family scheme in the hot
-//!   regime (theta >= 0.8) and idles at theta 0; the read-only fast
-//!   path halves OCC's timestamp allocations (begin stays, validation
-//!   goes) with a wall-clock win; the 1024-core regulated restart delay
-//!   never loses and wins >= 1% for the optimistic family. Wall-clock
-//!   margins are only enforced on non-quick (pinned) artifacts.
+//!   regime (theta >= 0.8) and idles at theta 0; the 1024-core
+//!   regulated restart delay never loses and wins >= 1% for the
+//!   optimistic family. Wall-clock margins are only enforced on
+//!   non-quick (pinned) artifacts.
 //! * `fig_service` — shedding is zero at the lowest offered point and
 //!   nonzero at the highest (admission control engages past saturation);
 //!   the batched-submission probe ran both paths to commit.
@@ -176,44 +175,6 @@ fn check_fig_regulate(doc: &Value) -> Result<(), String> {
         return Err(
             "sweep: adaptive never matched fixed for any OCC-family scheme at theta >= 0.8".into(),
         );
-    }
-    // --- ro_fastpath: the commit-skip mechanism and its cost ---
-    let ro = section(doc, "ro_fastpath").ok_or("missing ro_fastpath section")?;
-    let schemes = ro
-        .get("schemes")
-        .and_then(Value::as_arr)
-        .ok_or("ro_fastpath: no schemes array")?;
-    let occ = schemes
-        .iter()
-        .find(|s| s.get("scheme").and_then(Value::as_str) == Some("OCC"))
-        .ok_or("ro_fastpath: missing OCC")?;
-    // OCC pays two allocator trips per transaction (begin + validation);
-    // the fast path must drop exactly the validation one.
-    let on_ts = num(occ, "on_ts_allocated").unwrap_or(-1.0);
-    let off_ts = num(occ, "off_ts_allocated").unwrap_or(-1.0);
-    if on_ts <= 0.0 || off_ts != 2.0 * on_ts {
-        return Err(format!(
-            "ro_fastpath/OCC: expected the fast path to halve ts allocation \
-             (on {on_ts}, off {off_ts})"
-        ));
-    }
-    // The paired-median off/on ratio is the wall-clock claim: a real
-    // (if small) win for OCC, no harm for schemes that skip nothing.
-    if !quick && num(occ, "off_over_on").unwrap_or(0.0) <= 1.0 {
-        return Err("ro_fastpath/OCC: no wall-clock win from the commit-ts skip".into());
-    }
-    for s in schemes {
-        let name = s.get("scheme").and_then(Value::as_str).unwrap_or("?");
-        let on = num(s, "on_ns_per_txn").unwrap_or(0.0);
-        let off = num(s, "off_ns_per_txn").unwrap_or(0.0);
-        if on <= 0.0 || off <= 0.0 {
-            return Err(format!("ro_fastpath/{name}: non-positive ns/txn"));
-        }
-        if !quick && num(s, "off_over_on").unwrap_or(0.0) < 0.95 {
-            return Err(format!(
-                "ro_fastpath/{name}: fast path >5% slower than slow path ({on:.1} vs {off:.1})"
-            ));
-        }
     }
     // --- sim_1024: the deterministic 1024-core model claim ---
     let sim = section(doc, "sim_1024").ok_or("missing sim_1024 section")?;

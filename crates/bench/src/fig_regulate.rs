@@ -1,5 +1,5 @@
 //! fig_regulate — adaptive contention regulation: feedback backoff vs the
-//! fixed restart schedule, plus the read-only fast path's commit cost.
+//! fixed restart schedule, on the engine and in the 1024-core model.
 //!
 //! The paper's abort analysis (§4.2) shows the optimistic family (OCC,
 //! SILO, TICTOC) thrashing under skew: every conflict wastes the whole
@@ -28,17 +28,7 @@
 //!    where the controller visibly engages. The high-contention
 //!    OCC-family claim is carried by the 1024-core model section, where
 //!    conflicts are real.
-//! 2. **Read-only fast path** (`ro_fastpath` section): bounded
-//!    single-worker runs of a statically read-only YCSB mix with
-//!    `EngineConfig::ro_fast_path` on vs off. For OCC
-//!    (`RO_COMMIT_SKIPS_TS`) the fast path drops the commit-time
-//!    validation-timestamp allocation — half of OCC's two allocator
-//!    trips per transaction. The saving is nanoseconds per transaction,
-//!    so the section measures paired rounds (both modes back-to-back,
-//!    alternating order) and reports the median per-round `off/on`
-//!    ratio, plus the `ts_allocated` counters that prove the skip
-//!    deterministically.
-//! 3. **1024-core model** (`sim_1024` section): the cost-model simulator
+//! 2. **1024-core model** (`sim_1024` section): the cost-model simulator
 //!    at the paper's core count, theta 0.8, the fixed restart delay
 //!    (DBx1000's 25 µs `ABORT_PENALTY`) vs the regulated model: the
 //!    delay the feedback controller converges to, taken as the best
@@ -58,7 +48,7 @@ use crate::harness::Windows;
 use crate::{ycsb_point, HarnessArgs, Report};
 use abyss_common::zipf::ZipfGen;
 use abyss_common::{CcScheme, RunStats, TxnTemplate};
-use abyss_core::{run_workers, run_workers_bounded, Database, EngineConfig};
+use abyss_core::{run_workers, Database, EngineConfig};
 use abyss_sim::{CostModel, SimConfig};
 use abyss_workload::ycsb::{self, YcsbConfig, YcsbGen, YCSB_TABLE};
 
@@ -86,12 +76,6 @@ pub const SWEEP_WORKERS: u32 = 4;
 /// Rows in the sweep's YCSB table — small enough that theta 0.8+ makes
 /// hot tuples genuinely hot at four workers.
 const SWEEP_ROWS: u64 = 16 * 1024;
-
-/// Read-only fast-path probe: short transactions over a cache-resident
-/// table, so the per-commit constant cost the fast path removes is a
-/// visible fraction of the loop.
-const RO_ROWS: u64 = 4 * 1024;
-const RO_REQS_PER_TXN: usize = 2;
 
 /// One measured mode (fixed or adaptive) of one sweep point.
 pub struct ModeStats {
@@ -217,126 +201,6 @@ fn sweep_section(args: &HarnessArgs) -> String {
     )
 }
 
-/// One bounded read-only run; returns (ns/txn, ts_allocated).
-fn ro_run(scheme: CcScheme, fast_path: bool, txns: u64) -> (f64, u64) {
-    let cfg = YcsbConfig {
-        table_rows: RO_ROWS,
-        reqs_per_txn: RO_REQS_PER_TXN,
-        ..YcsbConfig::read_only()
-    };
-    let ecfg = EngineConfig::new(scheme, 1).with_ro_fast_path(fast_path);
-    let db = Database::new(ecfg, ycsb::catalog(&cfg)).expect("engine config");
-    db.load_table(YCSB_TABLE, 0..cfg.table_rows, ycsb::init_row)
-        .expect("load");
-    let mut g = YcsbGen::new(cfg, 0xFA57_0001);
-    let gens = vec![Box::new(move || g.next_txn()) as Box<dyn FnMut() -> TxnTemplate + Send>];
-    let out = run_workers_bounded(&db, gens, txns);
-    assert_eq!(out.stats.commits, txns, "{scheme}: read-only txn aborted");
-    (
-        out.wall.as_nanos() as f64 / txns as f64,
-        out.stats.ts_allocated,
-    )
-}
-
-/// Median of `xs` (destructive; `xs` must be non-empty).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Paired measurement of the fast path: each round runs both modes
-/// back-to-back (alternating which goes first) so background-load drift
-/// hits both legs of a pair roughly equally, then the per-round
-/// `off/on` ratios are reduced by median. The effect being resolved is
-/// a handful of nanoseconds per transaction, far below this host's
-/// run-to-run swing — pairing plus medians is what makes it visible.
-/// Returns `(on_ns, on_ts, off_ns, off_ts, off_over_on)`.
-fn ro_paired(scheme: CcScheme, txns: u64, rounds: u32) -> (f64, u64, f64, u64, f64) {
-    let mut on_ns = Vec::new();
-    let mut off_ns = Vec::new();
-    let mut ratios = Vec::new();
-    let (mut on_ts, mut off_ts) = (0, 0);
-    for round in 0..rounds {
-        let on_first = round % 2 == 0;
-        let (mut on, mut off) = (0.0, 0.0);
-        for leg in 0..2 {
-            let fast_path = (leg == 0) == on_first;
-            let (ns, t) = ro_run(scheme, fast_path, txns);
-            if fast_path {
-                on = ns;
-                on_ts = t;
-            } else {
-                off = ns;
-                off_ts = t;
-            }
-        }
-        on_ns.push(on);
-        off_ns.push(off);
-        ratios.push(off / on);
-    }
-    (
-        median(&mut on_ns),
-        on_ts,
-        median(&mut off_ns),
-        off_ts,
-        median(&mut ratios),
-    )
-}
-
-fn ro_section(args: &HarnessArgs) -> String {
-    // Long runs (the interference on small shared hosts is bursty on a
-    // scale of hundreds of milliseconds — short runs land entirely
-    // inside or outside a burst) and odd round counts for the median.
-    let (txns, rounds) = if args.quick {
-        (50_000u64, 3u32)
-    } else if args.full {
-        (2_000_000, 11)
-    } else {
-        (1_000_000, 9)
-    };
-    let mut rep = Report::new(&[
-        "scheme",
-        "fast ns/txn",
-        "slow ns/txn",
-        "slow/fast",
-        "fast ts_alloc",
-        "slow ts_alloc",
-    ]);
-    let mut rows = Vec::new();
-    for scheme in [CcScheme::Occ, CcScheme::Silo] {
-        // Warm both configurations before timing.
-        let _ = ro_run(scheme, true, txns / 10 + 1);
-        let _ = ro_run(scheme, false, txns / 10 + 1);
-        let (on_ns, on_ts, off_ns, off_ts, ratio) = ro_paired(scheme, txns, rounds);
-        rep.row(vec![
-            scheme.name().to_string(),
-            format!("{on_ns:.1}"),
-            format!("{off_ns:.1}"),
-            format!("{ratio:.3}"),
-            on_ts.to_string(),
-            off_ts.to_string(),
-        ]);
-        rows.push(format!(
-            "{{\"scheme\":\"{}\",\"on_ns_per_txn\":{},\"off_ns_per_txn\":{},\
-             \"off_over_on\":{},\"on_ts_allocated\":{on_ts},\"off_ts_allocated\":{off_ts}}}",
-            scheme.name(),
-            num(on_ns),
-            num(off_ns),
-            num(ratio),
-        ));
-    }
-    rep.print(&format!(
-        "read-only fast path: 1 worker, {RO_REQS_PER_TXN}-read txns over \
-         {RO_ROWS} rows, {txns} txns, median of {rounds} paired rounds"
-    ));
-    format!(
-        "{{\"workload\":\"ycsb_read_only\",\"table_rows\":{RO_ROWS},\
-         \"reqs_per_txn\":{RO_REQS_PER_TXN},\"workers\":1,\
-         \"txns_per_round\":{txns},\"rounds\":{rounds},\"schemes\":[{}]}}",
-        rows.join(",")
-    )
-}
-
 /// Restart-delay multipliers the regulated model may converge to. The
 /// fixed baseline (1x, DBx1000's 25 µs `ABORT_PENALTY`) is deliberately
 /// in the set: a feedback controller that finds no better operating
@@ -433,7 +297,6 @@ fn sim_section(args: &HarnessArgs) -> String {
 pub fn run() {
     let args = HarnessArgs::parse();
     let sweep = sweep_section(&args);
-    let ro = ro_section(&args);
     let sim = sim_section(&args);
 
     // The validator holds quick (CI-smoke) artifacts to structural
@@ -450,7 +313,6 @@ pub fn run() {
         .meta_str("mode", mode)
         .meta_str("hw_counters", hw_counters_label())
         .section("sweep", &sweep)
-        .section("ro_fastpath", &ro)
         .section("sim_1024", &sim);
     env.write().expect("write results/fig_regulate.json");
 }
@@ -479,16 +341,6 @@ mod tests {
         let fixed = sweep_point(CcScheme::Occ, 0.9, false, w);
         assert_eq!(fixed.backoffs, 0);
         assert_eq!(fixed.backoff_delay_ns, 0);
-    }
-
-    #[test]
-    fn ro_fast_path_skips_occ_validation_ts() {
-        // OCC draws two timestamps per transaction (begin + validation);
-        // the fast path drops exactly the validation one.
-        let (_, on_ts) = ro_run(CcScheme::Occ, true, 200);
-        let (_, off_ts) = ro_run(CcScheme::Occ, false, 200);
-        assert_eq!(on_ts, 200, "begin timestamp must still be allocated");
-        assert_eq!(off_ts, 400, "slow path must pay the validation ts too");
     }
 
     #[test]

@@ -119,12 +119,6 @@ pub struct EngineConfig {
     /// tuned by the scheme's gain/ceiling capabilities. Off by default so
     /// seeded replays and golden digests keep the paper's fixed schedule.
     pub adaptive_backoff: bool,
-    /// Read-phase fast path: statically read-only templates skip undo /
-    /// redo bookkeeping they can never need (epoch registration when it
-    /// exists only for the WAL horizon, OCC's validation-timestamp
-    /// allocation). On by default — it changes no commit/abort outcomes,
-    /// only shaves allocator and timestamp traffic off read-only work.
-    pub ro_fast_path: bool,
 }
 
 impl Default for EngineConfig {
@@ -144,7 +138,6 @@ impl Default for EngineConfig {
             breakdown: false,
             pin: PinPolicy::default(),
             adaptive_backoff: false,
-            ro_fast_path: true,
         }
     }
 }
@@ -228,13 +221,6 @@ impl EngineConfig {
         self.adaptive_backoff = true;
         self
     }
-
-    /// Toggle the read-only fast path (builder-style convenience; it is on
-    /// by default, so this mostly exists to switch it *off* for A/B runs).
-    pub fn with_ro_fast_path(mut self, on: bool) -> Self {
-        self.ro_fast_path = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -292,13 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn regulation_knobs_default_safe_and_builders_flip_them() {
+    fn adaptive_backoff_defaults_off_and_builder_enables_it() {
         let c = EngineConfig::new(CcScheme::Silo, 4);
         assert!(!c.adaptive_backoff, "adaptive backoff must be opt-in");
-        assert!(c.ro_fast_path, "read-only fast path is on by default");
-        let c = c.with_adaptive_backoff().with_ro_fast_path(false);
+        let c = c.with_adaptive_backoff();
         assert!(c.adaptive_backoff);
-        assert!(!c.ro_fast_path);
         assert!(c.validate().is_ok());
     }
 

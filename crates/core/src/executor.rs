@@ -62,15 +62,14 @@ fn body<P: CcProtocol>(t: &mut WorkerCtx<P>, tmpl: &TxnTemplate) -> Result<(), T
 /// worker, §3.2). Returns the error only for user aborts or template bugs.
 ///
 /// Templates whose access list is statically read-only take the read-only
-/// fast path (when `cfg.ro_fast_path` is on): the engine skips write-side
-/// bookkeeping — WAL-horizon epoch registration, OCC's validation
-/// timestamp — that a read-only transaction can never need.
+/// fast path: the engine skips write-side bookkeeping — WAL-horizon epoch
+/// registration, OCC's validation timestamp — that a read-only
+/// transaction can never need.
 pub fn run_template<P: CcProtocol>(
     ctx: &mut WorkerCtx<P>,
     tmpl: &TxnTemplate,
 ) -> Result<(), TxnError> {
-    let read_only = ctx.database().config().ro_fast_path && tmpl.is_read_only();
-    ctx.run_txn_with_hint(&tmpl.partitions, read_only, |t| body(t, tmpl))
+    ctx.run_txn_with_hint(&tmpl.partitions, tmpl.is_read_only(), |t| body(t, tmpl))
 }
 
 /// [`run_template`] plus statistics bookkeeping — the benchmark driver's
@@ -146,6 +145,36 @@ mod tests {
                 1001,
                 "{scheme}: counter not bumped"
             );
+        }
+    }
+
+    #[test]
+    fn read_only_templates_skip_the_validation_timestamp() {
+        // OCC draws two timestamps per transaction (begin + validation);
+        // the read-only hint `run_template` passes drops exactly the
+        // validation one, while `run_txn` (no hint) pays both. SILO and
+        // TICTOC never touch the allocator either way.
+        let tmpl = TxnTemplate::new(vec![
+            AccessSpec::fixed(0, 1, AccessOp::Read),
+            AccessSpec::fixed(0, 2, AccessOp::Read),
+        ]);
+        let txns = 100;
+        for (scheme, hinted, unhinted) in [
+            (CcScheme::Occ, 1, 2),
+            (CcScheme::Silo, 0, 0),
+            (CcScheme::TicToc, 0, 0),
+        ] {
+            let db = db(scheme);
+            let mut ctx = db.worker(0);
+            for _ in 0..txns {
+                run_template(&mut ctx, &tmpl).unwrap();
+            }
+            assert_eq!(ctx.stats.ts_allocated, hinted * txns, "{scheme}: run_template");
+            ctx.stats.ts_allocated = 0;
+            for _ in 0..txns {
+                ctx.run_txn(&tmpl.partitions, |t| body(t, &tmpl)).unwrap();
+            }
+            assert_eq!(ctx.stats.ts_allocated, unhinted * txns, "{scheme}: run_txn");
         }
     }
 

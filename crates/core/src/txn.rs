@@ -165,9 +165,9 @@ pub(crate) struct TxnState {
     pub log_seq: u64,
     /// Tracing: this attempt already emitted its `FirstConflict` event.
     pub traced_conflict: bool,
-    /// The read-only fast path is active for this attempt: the template
-    /// was statically read-only and the engine config enabled the skip
-    /// (see `EngineConfig::ro_fast_path`). Writes under this flag are a
+    /// The read-only fast path is active for this attempt: the caller
+    /// promised a statically read-only body (see
+    /// `WorkerCtx::run_txn_with_hint`). Writes under this flag are a
     /// caller bug, caught by debug assertions in the worker.
     pub read_only: bool,
 }

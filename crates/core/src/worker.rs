@@ -742,7 +742,7 @@ impl<P: CcProtocol> WorkerCtx<P> {
     /// and lets the engine skip write-side bookkeeping the transaction can
     /// never need — WAL-horizon epoch registration, OCC's
     /// validation-timestamp allocation. The executor passes
-    /// `tmpl.is_read_only()` here when `cfg.ro_fast_path` is on.
+    /// `tmpl.is_read_only()` here.
     pub fn run_txn_with_hint<R>(
         &mut self,
         partitions: &[PartId],
