@@ -1,18 +1,7 @@
-//! Dispatch micro-comparison plus the hot-word padding audit — the
-//! measured backing for two structural claims:
+//! Memory-layout micro-probes — the measured backing for two structural
+//! choices:
 //!
-//! 1. **Dispatch** (`dispatch` section): the enum-match shim vs the
-//!    monomorphized protocol on a read-only YCSB loop. Both paths execute
-//!    the *identical* seeded workload (same generator seed, same bounded
-//!    transaction count, one worker — no contention, so the only
-//!    difference is dispatch structure): `DispatchMode::Enum` drives
-//!    `WorkerCtx<AnyScheme>` (one scheme match per operation, the
-//!    pre-refactor engine's hot path); `DispatchMode::Mono` drives the
-//!    statically instantiated protocol (`run_workers`' normal path).
-//!    Timing is the bounded driver's start/stop-edge wall (barrier
-//!    release → last worker join), not a hand-held `Instant` pair.
-//!
-//! 2. **Padding** (`padding_audit` section): the engine wraps its
+//! 1. **Padding** (`padding_audit` section): the engine wraps its
 //!    contended hot words (2PL park-table lockwords, epoch slots, the
 //!    shared timestamp counter, waits-for heads) in
 //!    `abyss_common::Padded`. This audit measures what that buys: the
@@ -21,8 +10,12 @@
 //!    with `Unpadded` (`repr(transparent)` — adjacent slots share cache
 //!    lines), reporting ns/op for each and the unpadded/padded ratio.
 //!
-//! Prints per-scheme tables and writes `results/dispatch_micro.json` in
-//! the shared envelope. `--quick` shrinks budgets (CI smoke); `--full`
+//! 2. **NUMA arena refill** (`numa` section): memory-pool lifecycles
+//!    against the per-node arenas, same-node vs interleaved, reporting
+//!    ns/alloc and the arena hit rate.
+//!
+//! Prints one table per section and writes `results/layout_micro.json`
+//! in the shared envelope. `--quick` shrinks budgets (CI smoke); `--full`
 //! grows them.
 
 use std::ops::AddAssign;
@@ -31,89 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use abyss_bench::harness::emit::{num, Envelope};
 use abyss_bench::harness::{self, BenchContext, BenchSpec, PinPolicy};
 use abyss_bench::{HarnessArgs, Report};
-use abyss_common::{CcScheme, PadWrap, Padded, TxnTemplate, Unpadded};
-use abyss_core::{run_workers_bounded_via, Database, DispatchMode, EngineConfig};
+use abyss_common::{PadWrap, Padded, Unpadded};
 use abyss_storage::mempool::{arena_depth, MemPool};
-use abyss_workload::ycsb::{self, YcsbConfig, YcsbGen};
-
-const SEED: u64 = 0xD15B_A7C4_0000_0001;
-const TABLE_ROWS: u64 = 100_000;
-
-fn workload() -> YcsbConfig {
-    YcsbConfig {
-        table_rows: TABLE_ROWS,
-        theta: 0.6,
-        ..YcsbConfig::read_only()
-    }
-}
-
-/// One bounded single-worker run; returns ns per committed transaction.
-fn run_once(scheme: CcScheme, txns: u64, mode: DispatchMode) -> f64 {
-    let cfg = workload();
-    let db = Database::new(EngineConfig::new(scheme, 1), ycsb::catalog(&cfg)).unwrap();
-    db.load_table(0, 0..cfg.table_rows, ycsb::init_row).unwrap();
-    let mut g = YcsbGen::new(cfg, SEED);
-    let gens = vec![Box::new(move || g.next_txn()) as Box<dyn FnMut() -> TxnTemplate + Send>];
-    let out = run_workers_bounded_via(&db, gens, txns, mode);
-    assert_eq!(out.stats.commits, txns, "{scheme}: read-only txn aborted");
-    out.wall.as_nanos() as f64 / txns as f64
-}
-
-/// Best-of-N to shed scheduler noise (single worker, read-only: the
-/// minimum is the cleanest estimate of the loop's cost).
-fn best_of(scheme: CcScheme, txns: u64, rounds: u32, mode: DispatchMode) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        best = best.min(run_once(scheme, txns, mode));
-    }
-    best
-}
-
-fn dispatch_section(args: &HarnessArgs) -> String {
-    let (txns, rounds) = if args.quick {
-        (5_000u64, 2u32)
-    } else if args.full {
-        (100_000, 5)
-    } else {
-        (30_000, 3)
-    };
-    println!(
-        "dispatch_micro: read-only YCSB (theta 0.6, {TABLE_ROWS} rows), 1 worker, \
-         {txns} txns x best-of-{rounds}\n"
-    );
-
-    let mut report = Report::new(&["scheme", "enum ns/txn", "mono ns/txn", "mono/enum"]);
-    let mut rows_json = Vec::new();
-    for &scheme in &CcScheme::ALL {
-        // Warm both paths once (allocator, page faults) before timing.
-        let _ = run_once(scheme, txns / 10 + 1, DispatchMode::Enum);
-        let _ = run_once(scheme, txns / 10 + 1, DispatchMode::Mono);
-        let enum_ns = best_of(scheme, txns, rounds, DispatchMode::Enum);
-        let mono_ns = best_of(scheme, txns, rounds, DispatchMode::Mono);
-        let ratio = mono_ns / enum_ns;
-        report.row(vec![
-            scheme.name().to_string(),
-            format!("{enum_ns:.1}"),
-            format!("{mono_ns:.1}"),
-            format!("{ratio:.3}"),
-        ]);
-        rows_json.push(format!(
-            "{{\"scheme\":\"{}\",\"enum_ns_per_txn\":{},\
-             \"mono_ns_per_txn\":{},\"mono_over_enum\":{}}}",
-            scheme.name(),
-            num(enum_ns),
-            num(mono_ns),
-            num(ratio),
-        ));
-    }
-    report.print("enum-match shim vs monomorphized worker loop");
-
-    format!(
-        "{{\"workload\":\"ycsb_read_only\",\"theta\":0.6,\"table_rows\":{TABLE_ROWS},\
-         \"workers\":1,\"txns_per_round\":{txns},\"rounds\":{rounds},\"schemes\":[{}]}}",
-        rows_json.join(",")
-    )
-}
 
 // ---------------------------------------------------------------------
 // Padding audit
@@ -397,13 +309,11 @@ fn numa_section(args: &HarnessArgs) -> String {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let dispatch = dispatch_section(&args);
     let padding = padding_section(&args);
     let numa = numa_section(&args);
 
-    let mut env = Envelope::new("dispatch_micro");
-    env.section("dispatch", &dispatch)
-        .section("padding_audit", &padding)
+    let mut env = Envelope::new("layout_micro");
+    env.section("padding_audit", &padding)
         .section("numa", &numa);
-    env.write().expect("write results/dispatch_micro.json");
+    env.write().expect("write results/layout_micro.json");
 }

@@ -9,8 +9,7 @@
 //! CI smokes get targeted semantic checks — the qualitative claims each
 //! figure exists to pin:
 //!
-//! * `dispatch_micro` — all schemes timed on both dispatch paths with
-//!   positive costs; the padding audit covers the 2PL lockword and the
+//! * `layout_micro` — the padding audit covers the 2PL lockword and the
 //!   epoch slots with positive padded and unpadded costs; the NUMA
 //!   arena churn hits the node arena on the same-node pattern.
 //! * `fig_modern` — SILO and TICTOC allocate **zero** global timestamps;
@@ -62,26 +61,7 @@ fn num(v: &Value, key: &str) -> Option<f64> {
 // Per-figure semantic checks
 // ---------------------------------------------------------------------
 
-fn check_dispatch_micro(doc: &Value) -> Result<(), String> {
-    let dispatch = section(doc, "dispatch").ok_or("missing dispatch section")?;
-    let schemes = dispatch
-        .get("schemes")
-        .and_then(Value::as_arr)
-        .ok_or("dispatch: no schemes array")?;
-    if schemes.len() < 9 {
-        return Err(format!(
-            "dispatch: expected >= 9 schemes, got {}",
-            schemes.len()
-        ));
-    }
-    for s in schemes {
-        let name = s.get("scheme").and_then(Value::as_str).unwrap_or("?");
-        for key in ["enum_ns_per_txn", "mono_ns_per_txn"] {
-            if num(s, key).is_none_or(|v| v <= 0.0) {
-                return Err(format!("dispatch/{name}: non-positive {key}"));
-            }
-        }
-    }
+fn check_layout_micro(doc: &Value) -> Result<(), String> {
     let audit = section(doc, "padding_audit").ok_or("missing padding_audit section")?;
     let cases = audit
         .get("cases")
@@ -513,7 +493,7 @@ fn main() -> ExitCode {
         }
         let figure = doc.get("figure").and_then(Value::as_str).unwrap_or("");
         let semantic = match figure {
-            "dispatch_micro" => check_dispatch_micro(&doc),
+            "layout_micro" => check_layout_micro(&doc),
             "fig_modern" => check_fig_modern(&doc),
             "fig_regulate" => check_fig_regulate(&doc),
             "fig_service" => check_fig_service(&doc),

@@ -4,7 +4,7 @@
 //! source guard enforces it), so every figure times the same way: a
 //! [`Stopwatch`] for elapsed-time windows and a [`Pacer`] for open-loop
 //! request pacing. Figures that hand-rolled `Instant` pairs inside their
-//! measured loops (dispatch_micro, fig_service) moved onto these plus
+//! measured loops (fig_service among them) moved onto these plus
 //! the engine drivers' start/stop-edge accounting.
 
 use std::time::{Duration, Instant};

@@ -7,7 +7,7 @@
 //! that decision is made. [`Padded<T>`] aligns `T` to its own (pair of)
 //! cache line(s); [`Unpadded<T>`] is a `repr(transparent)` control with
 //! the identical API, so any data structure — and in particular the
-//! padding-audit microbenchmarks in `dispatch_micro` — can be written
+//! padding-audit microbenchmarks in `layout_micro` — can be written
 //! once, generic over [`PadWrap`], and compiled against both layouts.
 //!
 //! 128-byte alignment (two lines on x86_64, one on Apple/ARM big cores)

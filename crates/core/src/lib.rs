@@ -70,7 +70,4 @@ pub use serve::{
     TxnTicket,
 };
 pub use ts::{SharedTs, TsHandle};
-pub use worker::{
-    run_workers, run_workers_bounded, run_workers_bounded_via, BenchOutcome, DispatchMode,
-    TxnError, WorkerCtx,
-};
+pub use worker::{run_workers, run_workers_bounded, BenchOutcome, TxnError, WorkerCtx};

@@ -2,16 +2,11 @@
 //! matching the database's configured [`CcScheme`] **per operation** and
 //! forwarding to the static per-scheme impls.
 //!
-//! This is the pre-monomorphization engine's dispatch structure, kept for
-//! two jobs:
-//!
-//! * the convenience API — [`crate::db::Database::worker`] hands out a
-//!   `WorkerCtx<AnyScheme>` so callers that cannot name the scheme in
-//!   their types (tests iterating [`CcScheme::ALL`], examples, ad-hoc
-//!   tools) keep working unchanged;
-//! * the measured baseline of the dispatch micro-comparison
-//!   (`dispatch_micro` in `abyss-bench`): enum-match-per-access vs the
-//!   monomorphized loop `run_workers` actually uses.
+//! This is the pre-monomorphization engine's dispatch structure, kept as
+//! the convenience API: [`crate::db::Database::worker`] hands out a
+//! `WorkerCtx<AnyScheme>` so callers that cannot name the scheme in their
+//! types (tests iterating [`CcScheme::ALL`], examples, ad-hoc tools) keep
+//! working unchanged. The run drivers never use it.
 //!
 //! Every capability hook is overridden to answer from the configured
 //! scheme; the associated consts are never consulted for this type (the

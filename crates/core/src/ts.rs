@@ -43,7 +43,7 @@ pub const CLOCK_MAX_WORKERS: u32 = 1 << CLOCK_WORKER_BITS;
 /// allocator word is the single hottest shared word in every T/O scheme,
 /// and an unpadded counter would additionally drag whatever the enum's
 /// neighbors are into its coherence storm (the `padding_audit` section of
-/// `dispatch_micro` measures that cost).
+/// `layout_micro` measures that cost).
 #[derive(Debug)]
 enum Shared {
     Mutex(Mutex<u64>),

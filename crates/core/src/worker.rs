@@ -918,18 +918,6 @@ impl BenchOutcome {
 /// A per-worker transaction stream.
 type Generator = Box<dyn FnMut() -> abyss_common::TxnTemplate + Send>;
 
-/// How the benchmark drivers bind the scheme to the worker loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One enum match per operation ([`AnyScheme`]) — the
-    /// pre-monomorphization engine's hot path, kept as the measured
-    /// baseline.
-    Enum,
-    /// The scheme's protocol monomorphized into the loop (zero dispatch
-    /// per access) — what [`run_workers`] / [`run_workers_bounded`] use.
-    Mono,
-}
-
 /// Driver epilogue when logging is on: record the durable-epoch lag the
 /// run ended with (group-commit ack latency, in epochs), then run the
 /// clean-shutdown flush (workers are joined ⇒ quiescent) and export the
@@ -1124,26 +1112,9 @@ pub fn run_workers_bounded(
     generators: Vec<Generator>,
     txns_per_worker: u64,
 ) -> BenchOutcome {
-    run_workers_bounded_via(db, generators, txns_per_worker, DispatchMode::Mono)
-}
-
-/// [`run_workers_bounded`] with an explicit [`DispatchMode`] — the
-/// dispatch micro-comparison drives both paths over identical seeded
-/// workloads and reports the difference.
-pub fn run_workers_bounded_via(
-    db: &Arc<Database>,
-    generators: Vec<Generator>,
-    txns_per_worker: u64,
-    mode: DispatchMode,
-) -> BenchOutcome {
-    match mode {
-        DispatchMode::Enum => {
-            run_workers_bounded_typed::<AnyScheme>(db, generators, txns_per_worker)
-        }
-        DispatchMode::Mono => crate::schemes::dispatch_protocol!(db.cfg.scheme, P => {
-            run_workers_bounded_typed::<P>(db, generators, txns_per_worker)
-        }),
-    }
+    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => {
+        run_workers_bounded_typed::<P>(db, generators, txns_per_worker)
+    })
 }
 
 #[cfg(test)]

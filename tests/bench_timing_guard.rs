@@ -75,8 +75,8 @@ fn figure_sources_never_time_or_spawn_directly() {
 fn figure_binaries_never_time_or_spawn_directly() {
     let sources = [
         (
-            "dispatch_micro.rs",
-            include_str!("../crates/bench/src/bin/dispatch_micro.rs"),
+            "layout_micro.rs",
+            include_str!("../crates/bench/src/bin/layout_micro.rs"),
         ),
         ("fig03.rs", include_str!("../crates/bench/src/bin/fig03.rs")),
         ("fig04.rs", include_str!("../crates/bench/src/bin/fig04.rs")),
