@@ -74,11 +74,7 @@ pub fn run_template<P: CcProtocol>(
 
 /// [`run_template`] plus statistics bookkeeping — the benchmark driver's
 /// inner loop.
-pub fn run_to_commit<P: CcProtocol>(
-    ctx: &mut WorkerCtx<P>,
-    tmpl: &TxnTemplate,
-    _stop: &std::sync::atomic::AtomicBool,
-) {
+pub fn run_to_commit<P: CcProtocol>(ctx: &mut WorkerCtx<P>, tmpl: &TxnTemplate) {
     match run_template(ctx, tmpl) {
         Ok(()) => {
             ctx.stats.record_commit(tmpl.tag);
@@ -184,8 +180,7 @@ mod tests {
         let mut ctx = db.worker(0);
         let mut tmpl = TxnTemplate::new(vec![AccessSpec::fixed(0, 1, AccessOp::Update)]);
         tmpl.user_abort = true;
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        run_to_commit(&mut ctx, &tmpl, &stop);
+        run_to_commit(&mut ctx, &tmpl);
         assert_eq!(ctx.stats.commits, 0);
         assert_eq!(ctx.stats.aborts_for(AbortReason::UserAbort), 1);
         // the update was rolled back
@@ -200,8 +195,7 @@ mod tests {
             AccessSpec::fixed(0, 1, AccessOp::Read),
             AccessSpec::fixed(0, 2, AccessOp::Update),
         ]);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        run_to_commit(&mut ctx, &tmpl, &stop);
+        run_to_commit(&mut ctx, &tmpl);
         assert_eq!(ctx.stats.commits, 1);
         assert_eq!(ctx.stats.tuples_committed, 2);
     }

@@ -936,50 +936,85 @@ fn finalize_wal(db: &Arc<Database>, stats: &mut RunStats, base: Option<abyss_sto
     }
 }
 
-/// The shared benchmark scaffolding: spawn one thread per worker running
-/// `body` against its generator, run `control` on the spawning thread
-/// (e.g. a stop-flag timer), then join and merge every worker's stats.
-/// Both public drivers differ only in their loop-termination policy.
+/// When the workers of a driven run stop.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// A wall-clock window: statistics reset after `warmup`, and the run
+    /// ends after `warmup + measure`.
+    Window { warmup: Duration, measure: Duration },
+    /// Exactly this many templates per worker; the whole run is the
+    /// window.
+    Txns(u64),
+}
+
+/// The one run driver: spawn one thread per worker, each repeatedly
+/// fetching a template from its generator and executing it to commit
+/// until `stop` says otherwise, then join and merge every worker's stats.
 ///
 /// Every worker pins itself per [`crate::config::EngineConfig::pin`],
 /// constructs its context, and then parks on a ready-count start barrier;
 /// the spawning thread releases all of them on one edge once the last
-/// worker has reported in, and only then starts `control`'s clock. Without
-/// the barrier, the first-spawned worker runs (and its warmup deadline
+/// worker has reported in, and only then starts the clock. Without the
+/// barrier, the first-spawned worker runs (and its warmup deadline
 /// drifts) while later siblings are still paying thread-creation and
 /// context-construction cost — stragglers then get measured mid-warmup.
 ///
-/// Returns the merged stats plus the start-edge wall: barrier release →
-/// last worker finished. Bounded drivers use it directly; timed drivers
-/// derive a tighter window from their own stop timer.
-fn drive_workers<P: CcProtocol>(
+/// The reported wall is, for [`Stop::Txns`], barrier release → last
+/// worker finished; for [`Stop::Window`], the measured window as the stop
+/// timer on the spawning thread saw it (warmup boundary → stop edge).
+fn drive<P: CcProtocol>(
     db: &Arc<Database>,
     mut generators: Vec<Generator>,
-    body: impl Fn(&mut WorkerCtx<P>, &mut dyn FnMut() -> abyss_common::TxnTemplate) + Sync,
-    control: impl FnOnce(),
-) -> (RunStats, Duration) {
+    stop: Stop,
+) -> BenchOutcome {
     let n = db.cfg.workers as usize;
     assert_eq!(generators.len(), n, "one generator per worker required");
     let pin = db.cfg.pin;
     let ready = AtomicU64::new(0);
     let running = AtomicBool::new(false);
-    let mut merged = RunStats::default();
-    let mut wall = Duration::ZERO;
-    crossbeam::thread::scope(|scope| {
-        let ready = &ready;
-        let running = &running;
+    let stopped = AtomicBool::new(false);
+    let mut stats = RunStats::default();
+    // WAL counter snapshot at the warmup boundary, so the exported
+    // flush/fsync counts match the workers' warmup-reset statistics.
+    let mut warm_base = None;
+    let wall = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for (w, mut generator) in generators.drain(..).enumerate() {
             let db = Arc::clone(db);
-            let body = &body;
-            handles.push(scope.spawn(move |_| {
+            let (ready, running, stopped) = (&ready, &running, &stopped);
+            handles.push(scope.spawn(move || {
                 pin.apply(w as u32, n as u32);
                 let mut ctx = WorkerCtx::<P>::new(db, w as u32);
                 ready.fetch_add(1, Ordering::AcqRel);
                 while !running.load(Ordering::Acquire) {
                     std::hint::spin_loop();
                 }
-                body(&mut ctx, &mut *generator);
+                match stop {
+                    Stop::Window { warmup, .. } => {
+                        // All workers leave the barrier within one spin
+                        // round, so each derives the shared warmup
+                        // deadline from its own release.
+                        let warm_deadline = Instant::now() + warmup;
+                        let mut warmed = false;
+                        let mut measured_start = Instant::now();
+                        while !stopped.load(Ordering::Relaxed) {
+                            if !warmed && Instant::now() >= warm_deadline {
+                                ctx.stats = RunStats::default();
+                                measured_start = Instant::now();
+                                warmed = true;
+                            }
+                            crate::executor::run_to_commit(&mut ctx, &generator());
+                        }
+                        ctx.stats.elapsed = measured_start.elapsed().as_nanos() as u64;
+                    }
+                    Stop::Txns(txns) => {
+                        let began = Instant::now();
+                        for _ in 0..txns {
+                            crate::executor::run_to_commit(&mut ctx, &generator());
+                        }
+                        ctx.stats.elapsed = began.elapsed().as_nanos() as u64;
+                    }
+                }
                 ctx.stats
             }));
         }
@@ -988,68 +1023,25 @@ fn drive_workers<P: CcProtocol>(
         }
         let start_edge = Instant::now();
         running.store(true, Ordering::Release);
-        control();
-        for h in handles {
-            merged.merge(&h.join().expect("worker panicked"));
-        }
-        wall = start_edge.elapsed();
-    })
-    .expect("worker scope");
-    (merged, wall)
-}
-
-/// [`run_workers`] instantiated for one protocol — the single-scheme
-/// entry point for binaries that name their scheme statically.
-pub fn run_workers_typed<P: CcProtocol>(
-    db: &Arc<Database>,
-    generators: Vec<Generator>,
-    warmup: Duration,
-    measure: Duration,
-) -> BenchOutcome {
-    let stop = AtomicBool::new(false);
-    // WAL counter snapshot at the warmup boundary, so the exported
-    // flush/fsync counts match the workers' warmup-reset statistics.
-    let warm_base = std::sync::Mutex::new(None);
-    // The measured window as the stop timer saw it: warmup boundary →
-    // stop edge. Measured on the control thread, whose clock starts at
-    // the same barrier release the workers' warm deadlines derive from.
-    let window = std::sync::Mutex::new(Duration::ZERO);
-    let (stats, _) = drive_workers::<P>(
-        db,
-        generators,
-        |ctx, generator| {
-            // All workers leave the barrier within one spin round, so each
-            // derives the shared warmup deadline from its own release.
-            let warm_deadline = Instant::now() + warmup;
-            let mut warmed = false;
-            let mut measured_start = Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                if !warmed && Instant::now() >= warm_deadline {
-                    ctx.stats = RunStats::default();
-                    measured_start = Instant::now();
-                    warmed = true;
-                }
-                let tmpl = generator();
-                crate::executor::run_to_commit(ctx, &tmpl, &stop);
-            }
-            ctx.stats.elapsed = measured_start.elapsed().as_nanos() as u64;
-        },
-        // Timer on the spawning thread (running only after the barrier
-        // released every worker): snapshot the WAL counters when the
+        // Stop timer (windowed runs): snapshot the WAL counters when the
         // warmup ends, arm the stop flag when the measurement ends.
-        || {
-            std::thread::sleep(warmup);
-            let warm_at = Instant::now();
-            *warm_base.lock().unwrap() = db.wal_stats();
-            std::thread::sleep(measure);
-            stop.store(true, Ordering::Relaxed);
-            *window.lock().unwrap() = warm_at.elapsed();
-        },
-    );
-    let mut stats = stats;
-    let base = warm_base.lock().unwrap().take();
-    finalize_wal(db, &mut stats, base);
-    let wall = *window.lock().unwrap();
+        let window = match stop {
+            Stop::Window { warmup, measure } => {
+                std::thread::sleep(warmup);
+                let warm_at = Instant::now();
+                warm_base = db.wal_stats();
+                std::thread::sleep(measure);
+                stopped.store(true, Ordering::Relaxed);
+                Some(warm_at.elapsed())
+            }
+            Stop::Txns(_) => None,
+        };
+        for h in handles {
+            stats.merge(&h.join().expect("worker panicked"));
+        }
+        window.unwrap_or_else(|| start_edge.elapsed())
+    });
+    finalize_wal(db, &mut stats, warm_base);
     BenchOutcome { stats, wall }
 }
 
@@ -1064,40 +1056,8 @@ pub fn run_workers(
     warmup: Duration,
     measure: Duration,
 ) -> BenchOutcome {
-    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => {
-        run_workers_typed::<P>(db, generators, warmup, measure)
-    })
-}
-
-/// [`run_workers_bounded`] instantiated for one protocol — the
-/// single-scheme entry point for binaries that name their scheme
-/// statically.
-pub fn run_workers_bounded_typed<P: CcProtocol>(
-    db: &Arc<Database>,
-    generators: Vec<Generator>,
-    txns_per_worker: u64,
-) -> BenchOutcome {
-    let never_stop = AtomicBool::new(false);
-    // Start-edge accounting: the wall runs from the barrier release (all
-    // workers constructed and pinned) to the last worker finishing its
-    // quota — thread spawn and context construction are not measured.
-    let (stats, wall) = drive_workers::<P>(
-        db,
-        generators,
-        |ctx, generator| {
-            let began = Instant::now();
-            for _ in 0..txns_per_worker {
-                let tmpl = generator();
-                crate::executor::run_to_commit(ctx, &tmpl, &never_stop);
-            }
-            ctx.stats.elapsed = began.elapsed().as_nanos() as u64;
-        },
-        || {},
-    );
-    let mut stats = stats;
-    // No warmup reset here: the whole bounded run is the window.
-    finalize_wal(db, &mut stats, None);
-    BenchOutcome { stats, wall }
+    let stop = Stop::Window { warmup, measure };
+    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
 }
 
 /// Like [`run_workers`], but each worker executes **exactly**
@@ -1112,9 +1072,8 @@ pub fn run_workers_bounded(
     generators: Vec<Generator>,
     txns_per_worker: u64,
 ) -> BenchOutcome {
-    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => {
-        run_workers_bounded_typed::<P>(db, generators, txns_per_worker)
-    })
+    let stop = Stop::Txns(txns_per_worker);
+    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
 }
 
 #[cfg(test)]
