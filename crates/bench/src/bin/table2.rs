@@ -7,24 +7,18 @@
 
 use abyss_bench::paper_figs::emit_table;
 use abyss_bench::{fmt_m, ycsb_point, HarnessArgs, Report};
-use abyss_common::stats::Category;
-use abyss_common::CcScheme;
+use abyss_common::{CcScheme, Phase};
 use abyss_sim::SimConfig;
 use abyss_workload::ycsb::YcsbConfig;
 
 fn dominant_overhead(r: &abyss_sim::SimReport) -> String {
-    // The largest non-useful-work category.
-    Category::ALL
+    // The largest non-useful-work category (Logging folded into Manager).
+    Phase::PAPER
         .into_iter()
-        .filter(|c| *c != Category::UsefulWork)
-        .max_by(|a, b| {
-            r.stats
-                .breakdown
-                .fraction(*a)
-                .partial_cmp(&r.stats.breakdown.fraction(*b))
-                .unwrap()
-        })
-        .map(|c| format!("{} ({:.0}%)", c, r.stats.breakdown.fraction(c) * 100.0))
+        .zip(r.stats.phase_ns.paper_fractions())
+        .filter(|(p, _)| *p != Phase::UsefulWork)
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .map(|(p, f)| format!("{} ({:.0}%)", p, f * 100.0))
         .unwrap()
 }
 

@@ -249,12 +249,13 @@ pub fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Print a §3.2 six-category breakdown line for a report row.
+/// Print a §3.2 six-category breakdown line for a report row (Logging
+/// folded into Manager, as in the paper).
 pub fn breakdown_cells(report: &SimReport) -> Vec<String> {
     report
         .stats
-        .breakdown
-        .fractions()
+        .phase_ns
+        .paper_fractions()
         .iter()
         .map(|f| format!("{:.2}", f))
         .collect()

@@ -2,7 +2,7 @@
 //!
 //! [`LatencyHisto`] records per-attempt transaction latencies on the worker
 //! hot path and answers p50/p90/p99/p999 queries after the run. Like
-//! [`crate::stats::TimeBreakdown`] it is unit-free: the real engine records
+//! [`crate::stats::PhaseBreakdown`] it is unit-free: the real engine records
 //! nanoseconds, the simulator records cycles (1 cycle ≈ 1 ns at the modeled
 //! 1 GHz clock), and per-worker histograms merge with `+=`.
 //!

@@ -13,7 +13,7 @@
 //! * the seven concurrency-control schemes and five timestamp-allocation
 //!   methods evaluated by the paper ([`scheme`]),
 //! * abort/error taxonomy ([`error`]),
-//! * the six-category time breakdown used throughout the paper's evaluation
+//! * the per-phase time breakdown behind the paper's six §3.2 categories
 //!   plus run-level statistics ([`stats`]),
 //! * a fixed-bucket HDR-style latency histogram for per-attempt commit and
 //!   abort latency percentiles ([`histo`]),
@@ -47,5 +47,5 @@ pub use histo::LatencyHisto;
 pub use ids::{CoreId, Key, PartId, RowIdx, TableId, Ts, TxnId};
 pub use pad::{PadWrap, Padded, Unpadded};
 pub use scheme::{CcScheme, TsMethod};
-pub use stats::{Category, Phase, PhaseBreakdown, Priority, RunStats, TimeBreakdown};
+pub use stats::{Phase, PhaseBreakdown, Priority, RunStats};
 pub use txn::{AccessOp, AccessSpec, KeySpec, TxnTemplate};

@@ -1,5 +1,7 @@
-//! Run statistics and the six-category time breakdown from §3.2 of the
-//! paper (USEFUL WORK, ABORT, TS ALLOCATION, INDEX, WAIT, MANAGER).
+//! Run statistics and the per-phase time breakdown behind §3.2 of the
+//! paper. The paper's six categories (USEFUL WORK, ABORT, TS ALLOCATION,
+//! INDEX, WAIT, MANAGER) are a print-time view of the seven [`Phase`]s
+//! ([`PhaseBreakdown::paper_fractions`]).
 //!
 //! Time units are deliberately abstract: the simulator accounts in cycles,
 //! the real engine in nanoseconds. Ratios (what the breakdown figures plot)
@@ -11,141 +13,16 @@ use std::ops::{Add, AddAssign};
 use crate::error::AbortReason;
 use crate::histo::LatencyHisto;
 
-/// Where a slice of a worker's time went (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Category {
-    /// Executing application logic and operating on tuples.
-    UsefulWork,
-    /// Rolling back changes of aborted transactions (and re-done work).
-    Abort,
-    /// Acquiring a unique timestamp from the allocator.
-    TsAlloc,
-    /// Hash-index probes, including bucket latching.
-    Index,
-    /// Waiting for locks or for not-yet-ready tuple values.
-    Wait,
-    /// Lock-manager / timestamp-manager bookkeeping (excluding waits).
-    Manager,
-}
-
-impl Category {
-    /// All categories in the paper's legend order.
-    pub const ALL: [Category; 6] = [
-        Category::UsefulWork,
-        Category::Abort,
-        Category::TsAlloc,
-        Category::Index,
-        Category::Wait,
-        Category::Manager,
-    ];
-
-    /// Label as printed in the breakdown figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Category::UsefulWork => "Useful Work",
-            Category::Abort => "Abort",
-            Category::TsAlloc => "Ts Alloc.",
-            Category::Index => "Index",
-            Category::Wait => "Wait",
-            Category::Manager => "Manager",
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            Category::UsefulWork => 0,
-            Category::Abort => 1,
-            Category::TsAlloc => 2,
-            Category::Index => 3,
-            Category::Wait => 4,
-            Category::Manager => 5,
-        }
-    }
-}
-
-impl fmt::Display for Category {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Accumulated time per [`Category`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    buckets: [u64; 6],
-}
-
-impl TimeBreakdown {
-    /// An empty breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `amount` time units to `cat`.
-    #[inline]
-    pub fn record(&mut self, cat: Category, amount: u64) {
-        self.buckets[cat.idx()] += amount;
-    }
-
-    /// Time accumulated in `cat`.
-    pub fn get(&self, cat: Category) -> u64 {
-        self.buckets[cat.idx()]
-    }
-
-    /// Total time across all categories.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Fraction of total time in `cat` (0 if the breakdown is empty).
-    pub fn fraction(&self, cat: Category) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.get(cat) as f64 / total as f64
-        }
-    }
-
-    /// Normalized fractions in [`Category::ALL`] order — what the stacked
-    /// bar charts (Figs 8b, 9b, 10b, 12b) plot.
-    pub fn fractions(&self) -> [f64; 6] {
-        let mut out = [0.0; 6];
-        for (i, c) in Category::ALL.into_iter().enumerate() {
-            out[i] = self.fraction(c);
-        }
-        out
-    }
-}
-
-impl Add for TimeBreakdown {
-    type Output = Self;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
-    }
-}
-
-impl AddAssign for TimeBreakdown {
-    fn add_assign(&mut self, rhs: Self) {
-        for (a, b) in self.buckets.iter_mut().zip(rhs.buckets) {
-            *a += b;
-        }
-    }
-}
-
-/// Where a nanosecond of an *attempt* went — the wall-clock counterpart of
-/// [`Category`], extended with an explicit `Logging` phase (the paper
-/// predates durability; our WAL append is real time that would otherwise
-/// hide inside `Manager`).
+/// Where a nanosecond of an *attempt* went: the paper's six §3.2
+/// categories plus an explicit `Logging` phase (the paper predates
+/// durability; our WAL append is real time that would otherwise hide
+/// inside `Manager`).
 ///
 /// The engine's `PhaseClock` stamps transitions at the instrumentation
 /// seams and the simulator surfaces its per-component cycle charges under
 /// the same enum, so sim and engine breakdowns are directly comparable.
-/// Unlike [`Category`] (which several schemes feed piecemeal), `phase_ns`
-/// is conservative: per attempt, the seven buckets partition the interval
-/// from `attempt_started` to commit/abort.
+/// `phase_ns` is conservative: per attempt, the seven buckets partition
+/// the interval from `attempt_started` to commit/abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Executing application logic and operating on tuples.
@@ -179,6 +56,19 @@ impl Phase {
         Phase::Logging,
     ];
 
+    /// The paper's six §3.2 categories in its legend order: every phase
+    /// but Logging, which [`PhaseBreakdown::paper_fractions`] folds into
+    /// Manager (the paper had no durability, so WAL time is manager
+    /// overhead there).
+    pub const PAPER: [Phase; 6] = [
+        Phase::UsefulWork,
+        Phase::Abort,
+        Phase::TsAlloc,
+        Phase::Index,
+        Phase::Wait,
+        Phase::Manager,
+    ];
+
     /// Label as printed in breakdown tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -202,19 +92,6 @@ impl Phase {
             Phase::Wait => "wait",
             Phase::Manager => "manager",
             Phase::Logging => "logging",
-        }
-    }
-
-    /// The §3.2 category this phase folds into (Logging → Manager; the
-    /// paper had no durability, so WAL time is manager overhead there).
-    pub fn legacy_category(self) -> Category {
-        match self {
-            Phase::UsefulWork => Category::UsefulWork,
-            Phase::Abort => Category::Abort,
-            Phase::TsAlloc => Category::TsAlloc,
-            Phase::Index => Category::Index,
-            Phase::Wait => Category::Wait,
-            Phase::Manager | Phase::Logging => Category::Manager,
         }
     }
 
@@ -305,11 +182,21 @@ impl PhaseBreakdown {
         )
     }
 
-    /// Fold into the six-category §3.2 breakdown (Logging → Manager).
-    pub fn to_legacy(&self) -> TimeBreakdown {
-        let mut out = TimeBreakdown::new();
-        for p in Phase::ALL {
-            out.record(p.legacy_category(), self.get(p));
+    /// Fractions over the paper's six categories, in [`Phase::PAPER`]
+    /// order, with Logging folded into Manager — what the §3.2 stacked bar
+    /// charts (Figs 8b, 9b, 10b, 12b) plot. Sums to 1 unless empty.
+    pub fn paper_fractions(&self) -> [f64; 6] {
+        let total = self.total();
+        let mut out = [0.0; 6];
+        if total == 0 {
+            return out;
+        }
+        for (f, p) in out.iter_mut().zip(Phase::PAPER) {
+            let mut t = self.get(p);
+            if p == Phase::Manager {
+                t += self.get(Phase::Logging);
+            }
+            *f = t as f64 / total as f64;
         }
         out
     }
@@ -390,8 +277,6 @@ pub struct RunStats {
     pub tuples_committed: u64,
     /// Elapsed time units (cycles or nanoseconds) covered by the run.
     pub elapsed: u64,
-    /// Time breakdown across the six §3.2 categories.
-    pub breakdown: TimeBreakdown,
     /// Conservative per-attempt phase accounting (seven phases, includes
     /// Logging). Empty unless the engine runs with `breakdown` enabled;
     /// the simulator always fills it (its charges are free to attribute).
@@ -549,7 +434,6 @@ impl RunStats {
         }
         self.tuples_committed += other.tuples_committed;
         self.elapsed = self.elapsed.max(other.elapsed);
-        self.breakdown += other.breakdown;
         self.phase_ns += other.phase_ns;
         self.ts_allocated += other.ts_allocated;
         self.scans += other.scans;
@@ -581,36 +465,6 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_fractions_sum_to_one() {
-        let mut b = TimeBreakdown::new();
-        b.record(Category::UsefulWork, 60);
-        b.record(Category::Wait, 30);
-        b.record(Category::Index, 10);
-        let total: f64 = b.fractions().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((b.fraction(Category::UsefulWork) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_breakdown_fraction_is_zero() {
-        let b = TimeBreakdown::new();
-        assert_eq!(b.fraction(Category::Wait), 0.0);
-        assert_eq!(b.total(), 0);
-    }
-
-    #[test]
-    fn breakdown_addition() {
-        let mut a = TimeBreakdown::new();
-        a.record(Category::Manager, 5);
-        let mut b = TimeBreakdown::new();
-        b.record(Category::Manager, 7);
-        b.record(Category::Abort, 3);
-        let c = a + b;
-        assert_eq!(c.get(Category::Manager), 12);
-        assert_eq!(c.get(Category::Abort), 3);
-    }
 
     #[test]
     fn abort_bookkeeping() {
@@ -693,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_fractions_sum_to_one_and_fold_to_legacy() {
+    fn phase_fractions_sum_to_one() {
         let mut p = PhaseBreakdown::new();
         p.record(Phase::UsefulWork, 50);
         p.record(Phase::Wait, 30);
@@ -702,11 +556,25 @@ mod tests {
         let total: f64 = p.fractions().iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(p.total(), 100);
-        // Logging folds into Manager in the legacy six-category view.
-        let legacy = p.to_legacy();
-        assert_eq!(legacy.get(Category::Manager), 20);
-        assert_eq!(legacy.get(Category::UsefulWork), 50);
-        assert_eq!(legacy.total(), p.total());
+        assert_eq!(PhaseBreakdown::new().fraction(Phase::Wait), 0.0);
+    }
+
+    #[test]
+    fn paper_view_folds_logging_into_manager() {
+        let mut p = PhaseBreakdown::new();
+        p.record(Phase::UsefulWork, 50);
+        p.record(Phase::Wait, 30);
+        p.record(Phase::Manager, 12);
+        p.record(Phase::Logging, 8);
+        let f = p.paper_fractions();
+        let at = |ph: Phase| f[Phase::PAPER.iter().position(|&q| q == ph).unwrap()];
+        assert_eq!(at(Phase::Manager), 0.2);
+        assert_eq!(at(Phase::UsefulWork), 0.5);
+        assert_eq!(at(Phase::Wait), 0.3);
+        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        // The six categories are the first six phases, in legend order.
+        assert_eq!(Phase::PAPER, Phase::ALL[..6]);
+        assert_eq!(PhaseBreakdown::new().paper_fractions(), [0.0; 6]);
     }
 
     #[test]

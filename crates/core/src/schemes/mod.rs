@@ -64,7 +64,7 @@ pub struct SchemeEnv<'a> {
     pub(crate) pool: &'a mut MemPool,
     /// The worker id (park-table slot).
     pub(crate) worker: CoreId,
-    /// Per-worker statistics (wait-time accounting).
+    /// Per-worker statistics (scheme-specific counters).
     pub(crate) stats: &'a mut RunStats,
     /// The worker's timestamp-allocator handle (OCC's validation ts).
     pub(crate) ts: &'a mut TsHandle,
@@ -100,17 +100,14 @@ impl SchemeEnv<'_> {
         Some(self.push_read_copy(table, row, copy))
     }
 
-    /// Close out a blocking wait that `started` opened: charge the §3.2
-    /// Wait category and, when tracing is on, emit the attempt's
-    /// `FirstConflict` (once) plus the `WaitStart`/`WaitEnd` pair — the
-    /// start back-dated by the measured duration, so cross-worker merges
-    /// place the events where the wait actually happened. Every scheme
-    /// wait site funnels through here.
+    /// Close out a blocking wait that `started` opened: charge
+    /// [`abyss_common::Phase::Wait`] and, when tracing is on, emit the
+    /// attempt's `FirstConflict` (once) plus the `WaitStart`/`WaitEnd`
+    /// pair — the start back-dated by the measured duration, so
+    /// cross-worker merges place the events where the wait actually
+    /// happened. Every scheme wait site funnels through here.
     pub(crate) fn record_wait(&mut self, started: std::time::Instant) {
         let waited = started.elapsed().as_nanos() as u64;
-        self.stats
-            .breakdown
-            .record(abyss_common::Category::Wait, waited);
         self.phases.note_wait(waited);
         if self.db.trace_enabled() {
             use crate::obs::TraceEventKind;

@@ -12,7 +12,7 @@ use crate::kernel::EventKind;
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Merged statistics over all cores. `elapsed` is the measured window
-    /// in cycles; `breakdown` is in cycles.
+    /// in cycles; `phase_ns` is in cycles.
     pub stats: RunStats,
     /// Core count of the run.
     pub cores: u32,
@@ -99,9 +99,6 @@ pub fn run_sim_full(
         if c.parked {
             let since = c.blocked_since.max(warmup);
             let tail = end.saturating_sub(since);
-            c.stats
-                .breakdown
-                .record(abyss_common::stats::Category::Wait, tail);
             c.stats.phase_ns.record(abyss_common::Phase::Wait, tail);
         }
         c.stats.elapsed = measure;
@@ -317,13 +314,13 @@ mod tests {
         let b = run(CcScheme::WaitDie, 4, 1000, 0.5);
         assert_eq!(a.stats.commits, b.stats.commits);
         assert_eq!(a.stats.aborts, b.stats.aborts);
-        assert_eq!(a.stats.breakdown, b.stats.breakdown);
+        assert_eq!(a.stats.phase_ns, b.stats.phase_ns);
     }
 
     #[test]
     fn breakdown_covers_the_run() {
         let r = run(CcScheme::DlDetect, 4, 1000, 0.5);
-        let total = r.stats.breakdown.total();
+        let total = r.stats.phase_ns.total();
         // 4 cores × measure window; allow slack for edge effects.
         let budget = 4 * 2_000_000u64;
         assert!(

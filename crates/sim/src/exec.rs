@@ -306,14 +306,11 @@ impl Sim {
         }
     }
 
-    /// Charge `cycles` to a time phase: the seven-phase profile
+    /// Charge `cycles` to a time phase of the seven-phase profile
     /// (`phase_ns` — in the simulator the unit is cycles, only the
-    /// fractions are compared against the engine) and the paper's legacy
-    /// six-category breakdown (Logging folds into Manager there).
+    /// fractions are compared against the engine).
     fn charge(&mut self, ci: usize, phase: TimePhase, cycles: Cycles) {
-        let stats = &mut self.cores[ci].stats;
-        stats.phase_ns.record(phase, cycles);
-        stats.breakdown.record(phase.legacy_category(), cycles);
+        self.cores[ci].stats.phase_ns.record(phase, cycles);
     }
 
     /// Handle a Step event.

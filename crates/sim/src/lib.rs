@@ -18,8 +18,8 @@
 //!   materialized so the paper's 20M-row YCSB table costs only its
 //!   touched working set.
 //! * [`exec`] — the per-core transaction state machines.
-//! * [`driver`] — warmup, measurement, and the merged six-category time
-//!   breakdown of §3.2.
+//! * [`driver`] — warmup, measurement, and the merged per-phase time
+//!   breakdown behind §3.2.
 //!
 //! Runs are bit-reproducible: same [`config::SimConfig`] + generators ⇒
 //! identical statistics.

@@ -13,7 +13,6 @@
 //! CI's `validate_results` checks it like every other artifact).
 
 use abyss::bench::harness::emit::Envelope;
-use abyss::common::stats::Category;
 use abyss::common::{CcScheme, Phase};
 use abyss::sim::{run_sim, SimConfig, SimTable};
 use abyss::workload::ycsb::{YcsbConfig, YcsbGen};
@@ -82,18 +81,20 @@ fn main() {
             );
             stacks.push((scheme, p.to_json()));
         } else {
-            let b = &r.stats.breakdown;
+            // The paper's six categories: Logging folded into Manager.
+            let f: Vec<String> = r
+                .stats
+                .phase_ns
+                .paper_fractions()
+                .iter()
+                .map(|f| format!("{:>5.0}%", f * 100.0))
+                .collect();
             println!(
-                "{:<11} {:>9.3} {:>9.3}  {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}%",
+                "{:<11} {:>9.3} {:>9.3}  {}",
                 scheme.to_string(),
                 r.txn_per_sec() / 1e6,
                 r.aborts_per_sec() / 1e6,
-                b.fraction(Category::UsefulWork) * 100.0,
-                b.fraction(Category::Abort) * 100.0,
-                b.fraction(Category::TsAlloc) * 100.0,
-                b.fraction(Category::Index) * 100.0,
-                b.fraction(Category::Wait) * 100.0,
-                b.fraction(Category::Manager) * 100.0,
+                f.join(" ")
             );
         }
     }

@@ -60,7 +60,7 @@ fn identical_configs_are_bit_identical() {
     let b = ycsb_sim(CcScheme::DlDetect, 16, &cfg, |_| {});
     assert_eq!(a.stats.commits, b.stats.commits);
     assert_eq!(a.stats.aborts, b.stats.aborts);
-    assert_eq!(a.stats.breakdown, b.stats.breakdown);
+    assert_eq!(a.stats.phase_ns, b.stats.phase_ns);
     assert_eq!(a.materialized_tuples, b.materialized_tuples);
 }
 
@@ -234,7 +234,7 @@ fn silo_sim_is_deterministic() {
     let a = ycsb_sim(CcScheme::Silo, 64, &cfg, |_| {});
     let b = ycsb_sim(CcScheme::Silo, 64, &cfg, |_| {});
     assert_eq!(a.stats.commits, b.stats.commits);
-    assert_eq!(a.stats.breakdown, b.stats.breakdown);
+    assert_eq!(a.stats.phase_ns, b.stats.phase_ns);
     assert_eq!(a.materialized_tuples, b.materialized_tuples);
 }
 
@@ -341,7 +341,7 @@ fn tictoc_sim_is_deterministic() {
     let a = ycsb_sim(CcScheme::TicToc, 64, &cfg, |_| {});
     let b = ycsb_sim(CcScheme::TicToc, 64, &cfg, |_| {});
     assert_eq!(a.stats.commits, b.stats.commits);
-    assert_eq!(a.stats.breakdown, b.stats.breakdown);
+    assert_eq!(a.stats.phase_ns, b.stats.phase_ns);
     assert_eq!(a.stats.rts_extensions, b.stats.rts_extensions);
     assert_eq!(a.materialized_tuples, b.materialized_tuples);
 }
