@@ -29,7 +29,7 @@ fn main() {
     .expect("load");
 
     // Four threads sell items concurrently; oversells must be impossible.
-    crossbeam_scope(&db, inventory);
+    sell_concurrently(&db, inventory);
 
     let stock = db.sum_column(inventory, 1);
     let sold = db.sum_column(inventory, 2);
@@ -39,7 +39,7 @@ fn main() {
     println!("stock + sold == initial stock ✓ (serializable)");
 }
 
-fn crossbeam_scope(db: &Arc<Database>, inventory: u32) {
+fn sell_concurrently(db: &Arc<Database>, inventory: u32) {
     std::thread::scope(|s| {
         for w in 0..4u32 {
             let db = Arc::clone(db);

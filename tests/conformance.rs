@@ -207,11 +207,11 @@ fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
     let committed = AtomicU64::new(0);
     match mode {
         Mode::Txn => {
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for w in 0..WORKERS {
                     let db = Arc::clone(&db);
                     let committed = &committed;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut ctx = db.worker(w);
                         let mut rng = Rng(0x1234_5678 + u64::from(w));
                         for _ in 0..300 {
@@ -227,16 +227,15 @@ fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         }
         Mode::Split => {
             let barrier = Barrier::new(2);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for w in 0..2 {
                     let db = Arc::clone(&db);
                     let (committed, barrier) = (&committed, &barrier);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut ctx = db.worker(w);
                         let parts = partitions_for(scheme, &[0]);
                         for _ in 0..8 {
@@ -254,8 +253,7 @@ fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         }
     }
     let expected = INITIAL * 8 + committed.load(Ordering::Relaxed);
@@ -296,11 +294,11 @@ fn write_skew(scheme: CcScheme, mode: Mode) -> Result<(), String> {
         .unwrap();
     }
     let barrier = Barrier::new(2);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..2u32 {
             let db = Arc::clone(&db);
             let barrier = &barrier;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = db.worker(w);
                 for r in 0..SKEW_ROUNDS {
                     let (x, y) = (r * 2, r * 2 + 1);
@@ -339,8 +337,7 @@ fn write_skew(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let violations = Violations::default();
     for r in 0..SKEW_ROUNDS {
         let get = |k: u64| {
@@ -408,11 +405,11 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
     }
 
     let stop = AtomicBool::new(false);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..2 {
             let db = Arc::clone(&db);
             let stop = &stop;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = db.worker(w);
                 let mut rng = Rng(0x9999 + u64::from(w));
                 while !stop.load(Ordering::Relaxed) {
@@ -444,7 +441,7 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
         for w in 2..WORKERS {
             let db = Arc::clone(&db);
             let (stop, violations, all_parts) = (&stop, &violations, &all_parts);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = db.worker(w);
                 for _ in 0..150 {
                     let total = ctx
@@ -465,8 +462,7 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                 stop.store(true, Ordering::Relaxed);
             });
         }
-    })
-    .unwrap();
+    });
     if db.sum_column(0, 1) != expected {
         violations.record("final balances do not conserve the total".into());
     }
@@ -520,7 +516,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
     // threads are even scheduled, and nothing actually races.
     let start = Barrier::new(WORKERS as usize);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Odd keys are partitioned by class c = ((k-1)/2) % 4:
         //   c == 0 / 1 — "permanent": inserter c commits each once, and
         //                scanner c may later delete observed ones;
@@ -531,7 +527,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let db = Arc::clone(&db);
             let (inserted, deleted, stop, all_parts) = (&inserted, &deleted, &stop, &all_parts);
             let start = &start;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = db.worker(w);
                 start.wait();
                 let ins = |ctx: &mut WorkerCtx, key: u64| {
@@ -571,7 +567,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let db = Arc::clone(&db);
             let (deleted, stop, all_parts, violations) = (&deleted, &stop, &all_parts, &violations);
             let start = &start;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = db.worker(w);
                 start.wait();
                 let mut rng = Rng(0xF00D + u64::from(w));
@@ -627,8 +623,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                 stop.store(true, Ordering::Relaxed);
             });
         }
-    })
-    .unwrap();
+    });
 
     // Reconcile: committed state == loaded evens + inserts − deletes.
     let expected =

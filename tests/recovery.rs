@@ -306,10 +306,10 @@ fn multiworker_kill_and_recover(scheme: CcScheme) {
             r.unwrap();
             db.epoch_manager().current()
         };
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..WORKERS {
                 let db = Arc::clone(&db);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ctx = db.worker(w);
                     for i in 0..TXNS_PER_WORKER {
                         let key = (u64::from(w) * 7919 + i * 13) % BASE_ROWS;
@@ -319,8 +319,7 @@ fn multiworker_kill_and_recover(scheme: CcScheme) {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while db.durable_epoch().unwrap_or(0) < first_commit_epoch {
             assert!(
