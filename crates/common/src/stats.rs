@@ -566,13 +566,10 @@ mod tests {
         p.record(Phase::Wait, 30);
         p.record(Phase::Manager, 12);
         p.record(Phase::Logging, 8);
+        // Useful, Abort, TsAlloc, Index, Wait, Manager (+ Logging).
         let f = p.paper_fractions();
-        let at = |ph: Phase| f[Phase::PAPER.iter().position(|&q| q == ph).unwrap()];
-        assert_eq!(at(Phase::Manager), 0.2);
-        assert_eq!(at(Phase::UsefulWork), 0.5);
-        assert_eq!(at(Phase::Wait), 0.3);
+        assert_eq!(f, [0.5, 0.0, 0.0, 0.0, 0.3, 0.2]);
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // The six categories are the first six phases, in legend order.
         assert_eq!(Phase::PAPER, Phase::ALL[..6]);
         assert_eq!(PhaseBreakdown::new().paper_fractions(), [0.0; 6]);
     }

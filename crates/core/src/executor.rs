@@ -165,7 +165,11 @@ mod tests {
             for _ in 0..txns {
                 run_template(&mut ctx, &tmpl).unwrap();
             }
-            assert_eq!(ctx.stats.ts_allocated, hinted * txns, "{scheme}: run_template");
+            assert_eq!(
+                ctx.stats.ts_allocated,
+                hinted * txns,
+                "{scheme}: run_template"
+            );
             ctx.stats.ts_allocated = 0;
             for _ in 0..txns {
                 ctx.run_txn(&tmpl.partitions, |t| body(t, &tmpl)).unwrap();
