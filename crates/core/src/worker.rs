@@ -964,7 +964,7 @@ enum Stop {
 /// timer on the spawning thread saw it (warmup boundary → stop edge).
 fn drive<P: CcProtocol>(
     db: &Arc<Database>,
-    mut generators: Vec<Generator>,
+    generators: Vec<Generator>,
     stop: Stop,
 ) -> BenchOutcome {
     let n = db.cfg.workers as usize;
@@ -979,7 +979,7 @@ fn drive<P: CcProtocol>(
     let mut warm_base = None;
     let wall = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for (w, mut generator) in generators.drain(..).enumerate() {
+        for (w, mut generator) in generators.into_iter().enumerate() {
             let db = Arc::clone(db);
             let (ready, running, stopped) = (&ready, &running, &stopped);
             handles.push(scope.spawn(move || {
