@@ -13,7 +13,7 @@ use std::time::Instant;
 use abyss_common::rng::Xoshiro256;
 use abyss_common::zipf::ZipfGen;
 use abyss_common::{CcScheme, TsMethod};
-use abyss_core::{Database, EngineConfig, SharedTs};
+use abyss_core::{dispatch_protocol, CcProtocol, Database, EngineConfig, SharedTs};
 use abyss_storage::{row, Catalog, HashIndex, MemPool, Schema};
 
 /// Time `iters` runs of `f` (after `iters / 10` warmup runs) and print the
@@ -100,27 +100,25 @@ fn scheme_db(scheme: CcScheme) -> Arc<Database> {
 }
 
 /// Single-threaded commit path: 4 reads + 4 updates per transaction.
-fn bench_txn_path() {
-    for scheme in CcScheme::NON_PARTITIONED {
-        let db = scheme_db(scheme);
-        let mut ctx = db.worker(0);
-        let mut rng = Xoshiro256::seed_from(11);
-        bench("txn_commit_path", scheme.name(), 100_000, || {
-            let base = rng.next_below(90_000);
-            ctx.run_txn(&[], |t| {
-                for i in 0..4 {
-                    black_box(t.read(0, base + i)?);
-                }
-                for i in 4..8 {
-                    t.update(0, base + i, |s, d| {
-                        row::fetch_add_u64(s, d, 1, 1);
-                    })?;
-                }
-                Ok(())
-            })
-            .unwrap();
-        });
-    }
+fn bench_txn_path<P: CcProtocol>() {
+    let db = scheme_db(P::SCHEME);
+    let mut ctx = db.worker_as::<P>(0);
+    let mut rng = Xoshiro256::seed_from(11);
+    bench("txn_commit_path", P::SCHEME.name(), 100_000, || {
+        let base = rng.next_below(90_000);
+        ctx.run_txn(&[], |t| {
+            for i in 0..4 {
+                black_box(t.read(0, base + i)?);
+            }
+            for i in 4..8 {
+                t.update(0, base + i, |s, d| {
+                    row::fetch_add_u64(s, d, 1, 1);
+                })?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    });
 }
 
 fn bench_sim_kernel() {
@@ -141,6 +139,8 @@ fn main() {
     bench_index();
     bench_ts_alloc();
     bench_mempool();
-    bench_txn_path();
+    for scheme in CcScheme::NON_PARTITIONED {
+        dispatch_protocol!(scheme, P => bench_txn_path::<P>());
+    }
     bench_sim_kernel();
 }

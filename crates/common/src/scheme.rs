@@ -116,13 +116,6 @@ impl CcScheme {
         matches!(self, CcScheme::Silo | CcScheme::TicToc)
     }
 
-    /// Must transactions declare and acquire their partition set at begin
-    /// (H-STORE's "know what partitions each individual transaction will
-    /// access before it begins", §2.2)?
-    pub const fn partition_locked(self) -> bool {
-        matches!(self, CcScheme::HStore)
-    }
-
     /// Does the engine maintain a waits-for graph for this scheme
     /// (DL_DETECT's deadlock detection, §4.2)?
     pub const fn tracks_waits(self) -> bool {

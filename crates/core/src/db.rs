@@ -31,7 +31,7 @@ use crate::worker::WorkerCtx;
 ///
 /// Construction allocates every table arena, hash index and per-tuple
 /// metadata array up front; [`Database::load_table`] populates rows;
-/// [`Database::worker`] creates per-thread contexts that execute
+/// [`Database::worker_as`] creates per-thread contexts that execute
 /// transactions (see [`crate::worker::WorkerCtx`]).
 pub struct Database {
     pub(crate) cfg: EngineConfig,
@@ -792,18 +792,12 @@ impl Database {
         digest
     }
 
-    /// Create the execution context for `worker` (one per thread). The
-    /// context dispatches on the configured scheme at runtime
-    /// ([`crate::schemes::AnyScheme`]); use [`Database::worker_as`] to
-    /// monomorphize a single scheme instead.
-    pub fn worker(self: &Arc<Self>, worker: u32) -> WorkerCtx {
-        self.worker_as::<crate::schemes::AnyScheme>(worker)
-    }
-
-    /// [`Database::worker`] monomorphized over one protocol — the
-    /// single-scheme escape hatch (no per-access dispatch, and a binary
-    /// that only names one scheme type instantiates only that one).
-    /// Panics if `P` names a different scheme than the configuration.
+    /// Create the execution context for `worker` (one per thread),
+    /// monomorphized over the protocol `P` — no per-access dispatch, and a
+    /// binary that only names one scheme type instantiates only that one.
+    /// Code holding a runtime [`abyss_common::CcScheme`] picks `P` with
+    /// [`dispatch_protocol!`](crate::dispatch_protocol). Panics if `P`
+    /// names a different scheme than the configuration.
     pub fn worker_as<P: crate::schemes::CcProtocol>(self: &Arc<Self>, worker: u32) -> WorkerCtx<P> {
         assert!(worker < self.cfg.workers, "worker id {worker} out of range");
         WorkerCtx::new(Arc::clone(self), worker)
@@ -928,6 +922,7 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::NoWait;
     use abyss_storage::row;
 
     fn tiny_db(scheme: CcScheme) -> Arc<Database> {
@@ -971,8 +966,9 @@ mod tests {
     #[test]
     fn worker_id_bounds_checked() {
         let db = tiny_db(CcScheme::NoWait);
-        let _ok = db.worker(1);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.worker(5)));
+        let _ok = db.worker_as::<NoWait>(1);
+        let res =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.worker_as::<NoWait>(5)));
         assert!(res.is_err());
     }
 }

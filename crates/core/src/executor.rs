@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::db::Database;
+    use crate::schemes::{CcProtocol, NoWait, Occ, Silo, TicToc, Timestamp};
     use abyss_common::{AccessSpec, CcScheme, KeySpec};
     use abyss_storage::{Catalog, Schema};
     use std::sync::Arc;
@@ -129,9 +130,10 @@ mod tests {
 
     #[test]
     fn derived_insert_uses_captured_counter() {
-        for scheme in CcScheme::NON_PARTITIONED {
+        fn check<P: CcProtocol>() {
+            let scheme = P::SCHEME;
             let db = db(scheme);
-            let mut ctx = db.worker(0);
+            let mut ctx = db.worker_as::<P>(0);
             let tmpl = counter_then_insert_template();
             run_template(&mut ctx, &tmpl).unwrap();
             // counter at key 3 was 1000 → insert lands at key 1000
@@ -142,6 +144,9 @@ mod tests {
                 "{scheme}: counter not bumped"
             );
         }
+        for scheme in CcScheme::NON_PARTITIONED {
+            crate::dispatch_protocol!(scheme, P => check::<P>());
+        }
     }
 
     #[test]
@@ -150,18 +155,15 @@ mod tests {
         // the read-only hint `run_template` passes drops exactly the
         // validation one, while `run_txn` (no hint) pays both. SILO and
         // TICTOC never touch the allocator either way.
-        let tmpl = TxnTemplate::new(vec![
-            AccessSpec::fixed(0, 1, AccessOp::Read),
-            AccessSpec::fixed(0, 2, AccessOp::Read),
-        ]);
-        let txns = 100;
-        for (scheme, hinted, unhinted) in [
-            (CcScheme::Occ, 1, 2),
-            (CcScheme::Silo, 0, 0),
-            (CcScheme::TicToc, 0, 0),
-        ] {
+        fn check<P: CcProtocol>(hinted: u64, unhinted: u64) {
+            let scheme = P::SCHEME;
+            let tmpl = TxnTemplate::new(vec![
+                AccessSpec::fixed(0, 1, AccessOp::Read),
+                AccessSpec::fixed(0, 2, AccessOp::Read),
+            ]);
+            let txns = 100;
             let db = db(scheme);
-            let mut ctx = db.worker(0);
+            let mut ctx = db.worker_as::<P>(0);
             for _ in 0..txns {
                 run_template(&mut ctx, &tmpl).unwrap();
             }
@@ -176,12 +178,15 @@ mod tests {
             }
             assert_eq!(ctx.stats.ts_allocated, unhinted * txns, "{scheme}: run_txn");
         }
+        check::<Occ>(1, 2);
+        check::<Silo>(0, 0);
+        check::<TicToc>(0, 0);
     }
 
     #[test]
     fn user_abort_is_recorded_not_retried() {
         let db = db(CcScheme::NoWait);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<NoWait>(0);
         let mut tmpl = TxnTemplate::new(vec![AccessSpec::fixed(0, 1, AccessOp::Update)]);
         tmpl.user_abort = true;
         run_to_commit(&mut ctx, &tmpl);
@@ -194,7 +199,7 @@ mod tests {
     #[test]
     fn commits_and_tuples_counted() {
         let db = db(CcScheme::Timestamp);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Timestamp>(0);
         let tmpl = TxnTemplate::new(vec![
             AccessSpec::fixed(0, 1, AccessOp::Read),
             AccessSpec::fixed(0, 2, AccessOp::Update),

@@ -1,23 +1,24 @@
 //! # abyss-core
 //!
-//! A main-memory OLTP engine with eight pluggable concurrency-control
+//! A main-memory OLTP engine with nine pluggable concurrency-control
 //! schemes — the Rust reproduction of the DBMS test-bed from *Staring into
 //! the Abyss: An Evaluation of Concurrency Control with One Thousand
-//! Cores* (Yu et al., VLDB 2014), plus the modern epoch-based OCC (SILO)
-//! the paper's §4.3 analysis points toward.
+//! Cores* (Yu et al., VLDB 2014), plus the two modern timestamp-free OCC
+//! variants the paper's §4.3 analysis points toward (SILO and TICTOC).
 //!
 //! The engine deliberately contains "only the functionality needed for our
 //! experiments" (§3.2): row storage behind hash indexes, per-tuple
 //! concurrency-control metadata (no centralized lock table, §4.1), a
 //! pluggable scheme manager, and per-thread memory pools. The [`epoch`]
 //! module is the reusable epoch subsystem (global ticker, per-worker
-//! quiescence, epoch-tagged TID words) that SILO commits through and that
-//! future schemes (TicToc, group commit, RCU-style GC) can build on — the
-//! word layout and quiescence protocol are documented in `DESIGN.md`.
+//! quiescence, epoch-tagged TID words) that SILO commits through, TICTOC
+//! and group commit use as their quiescence horizon — the word layout and
+//! quiescence protocol are documented in `DESIGN.md`.
 //!
 //! ## Quickstart
 //!
 //! ```
+//! use abyss_core::schemes::NoWait;
 //! use abyss_core::{Database, EngineConfig};
 //! use abyss_common::CcScheme;
 //! use abyss_storage::{row, Catalog, Schema};
@@ -31,7 +32,7 @@
 //!     row::set_u64(schema, data, 1, 100); // balance
 //! }).unwrap();
 //!
-//! let mut worker = db.worker(0);
+//! let mut worker = db.worker_as::<NoWait>(0);
 //! // Transfer 10 from account 1 to account 2, retrying conflicts.
 //! worker.run_txn(&[], |txn| {
 //!     let from = txn.read_u64(accounts, 1, 1)?;
@@ -64,7 +65,7 @@ pub use config::{EngineConfig, LogConfig, TraceConfig};
 pub use db::{Database, RecoveryReport};
 pub use epoch::{EpochManager, EpochTicker};
 pub use obs::{MetricsSnapshot, TraceDump, TraceEvent, TraceEventKind, TxnOutcome, TxnSummary};
-pub use schemes::{AnyScheme, CcProtocol};
+pub use schemes::CcProtocol;
 pub use serve::{
     CancelToken, ProcFn, ProcId, ProcRegistry, ServeConfig, SubmitError, TicketStatus, TxnService,
     TxnTicket,

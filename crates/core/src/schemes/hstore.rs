@@ -19,21 +19,19 @@
 
 use std::time::{Duration, Instant};
 
-use abyss_common::{AbortReason, CoreId, Key, RowIdx, TableId, Ts};
+use abyss_common::{AbortReason, CcScheme, CoreId, Key, RowIdx, TableId, Ts};
 use abyss_storage::Schema;
-
-use abyss_common::CcScheme;
 
 use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::park::WaitOutcome;
 use crate::txn::{DeleteEntry, InsertEntry, UndoEntry};
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// T/O with partition-level locking (H-Store / Smallbase model).
 pub struct HStore;
 
 impl CcProtocol for HStore {
-    super::scheme_caps!(CcScheme::HStore);
+    const SCHEME: CcScheme = CcScheme::HStore;
 
     /// Sort + deduplicate the declared partition set, then acquire it in
     /// partition order (hold-and-wait cycles impossible, §4.3).
@@ -85,15 +83,24 @@ impl CcProtocol for HStore {
         delete(env, table, key, row)
     }
 
+    /// Partition ownership already serializes the scan: a plain walk.
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_hstore(table, low, high, f)
+        let sr = env.db.require_ordered(table)?.scan(low, high);
+        env.stats.scan_retries += sr.retries;
+        let t = &env.db.tables[table as usize];
+        for &(k, row) in &sr.entries {
+            // SAFETY: the transaction owns every partition it touches.
+            let data = unsafe { t.row(row) };
+            f(k, t.schema(), data);
+        }
+        Ok(sr.entries.len())
     }
 
     fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {

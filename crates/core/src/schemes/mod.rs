@@ -5,26 +5,25 @@
 //! [`CcProtocol`] captures the full per-scheme surface the engine needs:
 //! the access operations (`read` / `write` / `insert` / `delete` /
 //! `scan`), the lifecycle hooks (`begin` / `commit` / `abort`), and the
-//! capability metadata (`NEEDS_TS`, `USES_EPOCH`, …) that used to live as
-//! scattered `matches!(scheme, …)` conditions in the worker. Each scheme
-//! is a zero-sized type implementing the trait; [`crate::worker`]
-//! monomorphizes the whole execution loop over one of them, so the
-//! steady-state hot path contains **no** scheme branches — the protocol
-//! inlines straight into the access loop.
+//! scheme's identity ([`CcProtocol::SCHEME`]), whose `const fn`
+//! capability metadata the worker reads in place of scattered runtime
+//! checks of the configured scheme. Each scheme is a zero-sized type
+//! implementing the trait; [`crate::worker`] monomorphizes the whole
+//! execution loop over one of them, so the steady-state hot path contains
+//! **no** scheme branches — the protocol inlines straight into the access
+//! loop.
 //!
-//! [`dispatch::AnyScheme`] is the runtime-dispatch shim: one enum match
-//! per operation, forwarding to the static impls. It backs the
-//! convenience API ([`crate::db::Database::worker`]) and serves as the
-//! measured baseline of the dispatch micro-comparison. The
-//! [`dispatch_protocol!`](dispatch_protocol) macro is the single
-//! monomorphization point a run goes through.
+//! [`dispatch_protocol!`](crate::dispatch_protocol) is the one place a
+//! runtime [`CcScheme`] value becomes one of these types: the run drivers
+//! and the serving layer go through it once per run, tests once per
+//! scheme.
 //!
 //! Adding a tenth scheme means: one new module with a zero-sized type
-//! implementing [`CcProtocol`], one arm in [`dispatch_protocol!`], one
-//! [`abyss_common::CcScheme`] variant (+ its capability metadata there),
-//! and nothing else — no engine edits.
+//! implementing [`CcProtocol`] (its `const SCHEME` names the new variant),
+//! one arm in [`dispatch_protocol!`](crate::dispatch_protocol), one
+//! [`CcScheme`] variant (+ its capability metadata there), and nothing
+//! else — no engine edits.
 
-pub mod dispatch;
 pub mod hstore;
 pub mod mvcc;
 pub mod occ;
@@ -33,7 +32,7 @@ pub mod tictoc;
 pub mod timestamp;
 pub mod twopl;
 
-pub use dispatch::AnyScheme;
+pub use abyss_common::CcScheme;
 pub use hstore::HStore;
 pub use mvcc::Mvcc;
 pub use occ::Occ;
@@ -43,14 +42,14 @@ pub use timestamp::Timestamp;
 pub use twopl::{DlDetect, NoWait, WaitDie};
 
 use abyss_common::stats::RunStats;
-use abyss_common::{AbortReason, CcScheme, CoreId, Key, PartId, RowIdx, TableId};
+use abyss_common::{AbortReason, CoreId, Key, PartId, RowIdx, TableId};
 use abyss_storage::{MemPool, Schema};
 
 use crate::db::Database;
 use crate::obs::PhaseClock;
 use crate::ts::TsHandle;
 use crate::txn::TxnState;
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// Disjoint borrows of the worker context handed to scheme code. Opaque
 /// outside the crate: schemes live next to the engine internals they
@@ -176,86 +175,14 @@ pub enum ReadRef {
 /// One concurrency-control scheme, as a type.
 ///
 /// The worker ([`crate::worker::WorkerCtx`]) is generic over an impl of
-/// this trait; instantiating it with a static scheme type compiles the
-/// protocol straight into the transaction loop (zero dispatch per
-/// access), while [`AnyScheme`] recovers the classic one-match-per-access
-/// runtime dispatch for contexts that cannot name the scheme statically.
-///
-/// The capability consts mirror [`CcScheme`]'s metadata; the parallel
-/// `fn` hooks exist so the runtime shim can answer from the configured
-/// scheme instead — static impls must leave the defaults (which return
-/// the consts) untouched.
+/// this trait; instantiating it with a scheme type compiles the protocol
+/// straight into the transaction loop (zero dispatch per access). The
+/// worker reads the scheme's capabilities as `P::SCHEME.needs_start_ts()`
+/// and so on — `const fn`s on a const, folded at compile time.
 pub trait CcProtocol: Sized + 'static {
-    /// `Some(scheme)` for the per-scheme impls ([`crate::worker`] asserts
-    /// it against the database's configured scheme); `None` for the
-    /// runtime shim.
-    const STATIC_SCHEME: Option<CcScheme>;
-    /// Allocates a start timestamp at begin.
-    const NEEDS_TS: bool;
-    /// Restarts keep their original timestamp (WAIT_DIE's age).
-    const TS_REUSE_ON_RESTART: bool;
-    /// Registers every transaction in the epoch subsystem.
-    const USES_EPOCH: bool;
-    /// Acquires its declared partition set at begin (H-STORE).
-    /// Informational metadata only: the acquisition itself is the
-    /// scheme's own [`CcProtocol::begin`] hook, not engine behavior
-    /// keyed off this const — a partitioned scheme must implement
-    /// `begin`.
-    const ACQUIRES_PARTITIONS: bool;
-    /// Maintains the waits-for graph (DL_DETECT).
-    const TRACKS_WAITS: bool;
-    /// Point accesses re-probe the index against committed deletes.
-    const GUARDS_DELETED: bool;
-    /// Adaptive backoff: multiplicative-increase gain, percent per unit
-    /// abort rate (see [`crate::backoff::BackoffCtl`]).
-    const BACKOFF_GAIN_PCT: u32;
-    /// Adaptive backoff: per-scheme delay ceiling, microseconds.
-    const BACKOFF_CEILING_US: u64;
-    /// Read-only transactions skip the scheme's commit-time timestamp
-    /// allocation (OCC's validation ts — an empty write set has an empty
-    /// validation window).
-    const RO_COMMIT_SKIPS_TS: bool;
-
-    /// Runtime-capable mirror of [`CcProtocol::NEEDS_TS`].
-    #[inline(always)]
-    fn needs_ts(_scheme: CcScheme) -> bool {
-        Self::NEEDS_TS
-    }
-    /// Runtime-capable mirror of [`CcProtocol::TS_REUSE_ON_RESTART`].
-    #[inline(always)]
-    fn ts_reuse_on_restart(_scheme: CcScheme) -> bool {
-        Self::TS_REUSE_ON_RESTART
-    }
-    /// Runtime-capable mirror of [`CcProtocol::USES_EPOCH`].
-    #[inline(always)]
-    fn uses_epoch(_scheme: CcScheme) -> bool {
-        Self::USES_EPOCH
-    }
-    /// Runtime-capable mirror of [`CcProtocol::TRACKS_WAITS`].
-    #[inline(always)]
-    fn tracks_waits(_scheme: CcScheme) -> bool {
-        Self::TRACKS_WAITS
-    }
-    /// Runtime-capable mirror of [`CcProtocol::GUARDS_DELETED`].
-    #[inline(always)]
-    fn guards_deleted(_scheme: CcScheme) -> bool {
-        Self::GUARDS_DELETED
-    }
-    /// Runtime-capable mirror of [`CcProtocol::BACKOFF_GAIN_PCT`].
-    #[inline(always)]
-    fn backoff_gain_pct(_scheme: CcScheme) -> u32 {
-        Self::BACKOFF_GAIN_PCT
-    }
-    /// Runtime-capable mirror of [`CcProtocol::BACKOFF_CEILING_US`].
-    #[inline(always)]
-    fn backoff_ceiling_us(_scheme: CcScheme) -> u64 {
-        Self::BACKOFF_CEILING_US
-    }
-    /// Runtime-capable mirror of [`CcProtocol::RO_COMMIT_SKIPS_TS`].
-    #[inline(always)]
-    fn ro_commit_skips_ts(_scheme: CcScheme) -> bool {
-        Self::RO_COMMIT_SKIPS_TS
-    }
+    /// The scheme this type implements. [`crate::worker::WorkerCtx`]
+    /// asserts it against the database's configured scheme.
+    const SCHEME: CcScheme;
 
     /// Scheme admission work at transaction begin, after the worker has
     /// installed the timestamp / epoch / waits-for registrations.
@@ -295,24 +222,11 @@ pub trait CcProtocol: Sized + 'static {
         row: RowIdx,
     ) -> Result<(), AbortReason>;
 
-    /// Scan-path read: `None` means "invisible at this snapshot, skip"
-    /// (MVCC's snapshot-bounded scans); everyone else reads like
-    /// [`CcProtocol::read`].
-    #[inline]
-    fn read_for_scan(
-        env: &mut SchemeEnv<'_>,
-        table: TableId,
-        row: RowIdx,
-    ) -> Result<Option<ReadRef>, AbortReason> {
-        Self::read(env, table, row).map(Some)
-    }
-
-    /// Range-scan `low..=high` with this scheme's phantom protection,
-    /// invoking `f` per qualifying row. Impls pick one of the worker's
-    /// scan drivers (next-key-locked walk, leaf-tagged T/O scan, node-set
-    /// scan, partition-exclusive walk).
+    /// Range-scan `low..=high` of an ordered table with this scheme's
+    /// phantom protection, invoking `f` per qualifying row; returns the
+    /// number of rows observed. Each scheme module documents its rule.
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
@@ -329,128 +243,79 @@ pub trait CcProtocol: Sized + 'static {
     fn abort(env: &mut SchemeEnv<'_>);
 }
 
-/// Expands to the capability consts of [`CcProtocol`], derived from the
-/// scheme's own [`CcScheme`] metadata — the impls cannot drift from the
-/// enum.
-macro_rules! scheme_caps {
-    ($scheme:expr) => {
-        const STATIC_SCHEME: Option<abyss_common::CcScheme> = Some($scheme);
-        const NEEDS_TS: bool = $scheme.needs_start_ts();
-        const TS_REUSE_ON_RESTART: bool = $scheme.reuses_ts_on_restart();
-        const USES_EPOCH: bool = $scheme.uses_epoch();
-        const ACQUIRES_PARTITIONS: bool = $scheme.partition_locked();
-        const TRACKS_WAITS: bool = $scheme.tracks_waits();
-        const GUARDS_DELETED: bool = $scheme.guards_deleted_rows();
-        const BACKOFF_GAIN_PCT: u32 = $scheme.backoff_gain_pct();
-        const BACKOFF_CEILING_US: u64 = $scheme.backoff_ceiling_us();
-        const RO_COMMIT_SKIPS_TS: bool = $scheme.ro_commit_skips_ts();
-    };
-}
-pub(crate) use scheme_caps;
-
-/// Binds `$P` to the [`CcProtocol`] impl for `$scheme` and evaluates
-/// `$body` — the one place a runtime [`CcScheme`] value becomes a static
-/// protocol type. [`crate::worker::run_workers`] goes through this once
-/// per run; [`AnyScheme`] goes through it once per operation.
+/// Binds `$P` to the [`CcProtocol`](crate::schemes::CcProtocol) type for the
+/// runtime [`CcScheme`](crate::schemes::CcScheme) value `$scheme` and evaluates
+/// `$body` — the one place a scheme value becomes a type.
+/// [`run_workers`](crate::run_workers) and the serving layer go through
+/// it once per run. Code that loops over schemes is written as a generic
+/// function and called through it:
+///
+/// ```
+/// use abyss_common::CcScheme;
+/// use abyss_core::schemes::CcProtocol;
+///
+/// fn name<P: CcProtocol>() -> &'static str {
+///     P::SCHEME.name()
+/// }
+///
+/// for scheme in CcScheme::ALL {
+///     assert_eq!(abyss_core::dispatch_protocol!(scheme, P => name::<P>()), scheme.name());
+/// }
+/// ```
+#[macro_export]
 macro_rules! dispatch_protocol {
     ($scheme:expr, $P:ident => $body:expr) => {
         match $scheme {
-            abyss_common::CcScheme::DlDetect => {
+            $crate::schemes::CcScheme::DlDetect => {
                 type $P = $crate::schemes::DlDetect;
                 $body
             }
-            abyss_common::CcScheme::NoWait => {
+            $crate::schemes::CcScheme::NoWait => {
                 type $P = $crate::schemes::NoWait;
                 $body
             }
-            abyss_common::CcScheme::WaitDie => {
+            $crate::schemes::CcScheme::WaitDie => {
                 type $P = $crate::schemes::WaitDie;
                 $body
             }
-            abyss_common::CcScheme::Timestamp => {
+            $crate::schemes::CcScheme::Timestamp => {
                 type $P = $crate::schemes::Timestamp;
                 $body
             }
-            abyss_common::CcScheme::Mvcc => {
+            $crate::schemes::CcScheme::Mvcc => {
                 type $P = $crate::schemes::Mvcc;
                 $body
             }
-            abyss_common::CcScheme::Occ => {
+            $crate::schemes::CcScheme::Occ => {
                 type $P = $crate::schemes::Occ;
                 $body
             }
-            abyss_common::CcScheme::HStore => {
+            $crate::schemes::CcScheme::HStore => {
                 type $P = $crate::schemes::HStore;
                 $body
             }
-            abyss_common::CcScheme::Silo => {
+            $crate::schemes::CcScheme::Silo => {
                 type $P = $crate::schemes::Silo;
                 $body
             }
-            abyss_common::CcScheme::TicToc => {
+            $crate::schemes::CcScheme::TicToc => {
                 type $P = $crate::schemes::TicToc;
                 $body
             }
         }
     };
 }
-pub(crate) use dispatch_protocol;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The static impls' capability consts, the runtime shim's hooks, and
-    /// the [`CcScheme`] metadata must agree for every scheme — a new
-    /// capability added to one surface but not the others fails here.
+    /// Every arm of the macro binds the type whose `SCHEME` is that arm's
+    /// variant.
     #[test]
     fn capability_surfaces_agree() {
         for scheme in CcScheme::ALL {
-            dispatch_protocol!(scheme, P => {
-                assert_eq!(P::STATIC_SCHEME, Some(scheme));
-                assert_eq!(P::NEEDS_TS, scheme.needs_start_ts(), "{scheme}: NEEDS_TS");
-                assert_eq!(
-                    P::TS_REUSE_ON_RESTART,
-                    scheme.reuses_ts_on_restart(),
-                    "{scheme}: TS_REUSE_ON_RESTART"
-                );
-                assert_eq!(P::USES_EPOCH, scheme.uses_epoch(), "{scheme}: USES_EPOCH");
-                assert_eq!(
-                    P::ACQUIRES_PARTITIONS,
-                    scheme.partition_locked(),
-                    "{scheme}: ACQUIRES_PARTITIONS"
-                );
-                assert_eq!(P::TRACKS_WAITS, scheme.tracks_waits(), "{scheme}: TRACKS_WAITS");
-                assert_eq!(
-                    P::GUARDS_DELETED,
-                    scheme.guards_deleted_rows(),
-                    "{scheme}: GUARDS_DELETED"
-                );
-                assert_eq!(
-                    P::BACKOFF_GAIN_PCT,
-                    scheme.backoff_gain_pct(),
-                    "{scheme}: BACKOFF_GAIN_PCT"
-                );
-                assert_eq!(
-                    P::BACKOFF_CEILING_US,
-                    scheme.backoff_ceiling_us(),
-                    "{scheme}: BACKOFF_CEILING_US"
-                );
-                assert_eq!(
-                    P::RO_COMMIT_SKIPS_TS,
-                    scheme.ro_commit_skips_ts(),
-                    "{scheme}: RO_COMMIT_SKIPS_TS"
-                );
-                // The shim must answer exactly like the static impl.
-                assert_eq!(AnyScheme::needs_ts(scheme), P::NEEDS_TS);
-                assert_eq!(AnyScheme::ts_reuse_on_restart(scheme), P::TS_REUSE_ON_RESTART);
-                assert_eq!(AnyScheme::uses_epoch(scheme), P::USES_EPOCH);
-                assert_eq!(AnyScheme::tracks_waits(scheme), P::TRACKS_WAITS);
-                assert_eq!(AnyScheme::guards_deleted(scheme), P::GUARDS_DELETED);
-                assert_eq!(AnyScheme::backoff_gain_pct(scheme), P::BACKOFF_GAIN_PCT);
-                assert_eq!(AnyScheme::backoff_ceiling_us(scheme), P::BACKOFF_CEILING_US);
-                assert_eq!(AnyScheme::ro_commit_skips_ts(scheme), P::RO_COMMIT_SKIPS_TS);
-            });
+            assert_eq!(crate::dispatch_protocol!(scheme, P => P::SCHEME), scheme);
         }
     }
 }

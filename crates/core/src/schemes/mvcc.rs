@@ -33,14 +33,14 @@ use abyss_storage::Schema;
 use super::timestamp::park_behind_prewrite;
 use super::{timestamp, CcProtocol, ReadRef, SchemeEnv};
 use crate::meta::ToLatch;
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// Multi-version timestamp ordering (newest version in place, older
 /// versions in a bounded per-tuple history).
 pub struct Mvcc;
 
 impl CcProtocol for Mvcc {
-    super::scheme_caps!(CcScheme::Mvcc);
+    const SCHEME: CcScheme = CcScheme::Mvcc;
 
     #[inline]
     fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef, AbortReason> {
@@ -77,26 +77,17 @@ impl CcProtocol for Mvcc {
         timestamp::delete(env, table, key, row, admit_write)
     }
 
-    /// Snapshot-bounded scan read: rows created after this snapshot are
-    /// *skipped*, not aborted on.
-    #[inline]
-    fn read_for_scan(
-        env: &mut SchemeEnv<'_>,
-        table: TableId,
-        row: RowIdx,
-    ) -> Result<Option<ReadRef>, AbortReason> {
-        read_visible(env, table, row)
-    }
-
+    /// TIMESTAMP's leaf-tagged scan, snapshot-bounded: rows created after
+    /// this snapshot are *skipped*, not aborted on.
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_to(table, low, high, f)
+        timestamp::scan(env, table, low, high, f, read_visible)
     }
 
     fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
@@ -122,7 +113,7 @@ fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef,
 /// this snapshot. The scan path uses this to *skip* rows created by
 /// transactions serialized after the scanner (their `wts > ts`) instead
 /// of aborting — the snapshot-bounded scan semantics.
-pub(super) fn read_visible(
+fn read_visible(
     env: &mut SchemeEnv<'_>,
     table: TableId,
     row: RowIdx,

@@ -15,22 +15,20 @@
 
 use std::sync::atomic::Ordering;
 
-use abyss_common::{AbortReason, Key, RowIdx, TableId};
+use abyss_common::{AbortReason, CcScheme, Key, RowIdx, TableId};
 use abyss_storage::mempool::PoolBlock;
 use abyss_storage::Schema;
 
-use abyss_common::CcScheme;
-
 use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::lockword::silo;
-use crate::txn::{DeleteEntry, InsertEntry, ReadEntry, WriteEntry};
-use crate::worker::{TxnError, WorkerCtx};
+use crate::txn::{DeleteEntry, InsertEntry, NodeSetEntry, ReadEntry, WriteEntry};
+use crate::worker::TxnError;
 
 /// Optimistic concurrency control with per-tuple (distributed) validation.
 pub struct Occ;
 
 impl CcProtocol for Occ {
-    super::scheme_caps!(CcScheme::Occ);
+    const SCHEME: CcScheme = CcScheme::Occ;
 
     #[inline]
     fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef, AbortReason> {
@@ -69,21 +67,22 @@ impl CcProtocol for Occ {
 
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_occ(table, low, high, f)
+        scan(env, table, low, high, f)
     }
 
     fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
         // The second (validation) timestamp — OCC's extra trip to the
         // allocator (§5.1). A statically read-only transaction installs
-        // nothing, so the fast path skips the trip (RO_COMMIT_SKIPS_TS):
-        // validation still runs in full against the read + node sets.
-        if !(Self::RO_COMMIT_SKIPS_TS && env.st.read_only) {
+        // nothing, so the fast path skips the trip
+        // (`CcScheme::ro_commit_skips_ts`): validation still runs in full
+        // against the read + node sets.
+        if !(Self::SCHEME.ro_commit_skips_ts() && env.st.read_only) {
             env.stats.ts_allocated += 1;
             let _validation_ts = env.ts.alloc();
         }
@@ -151,6 +150,41 @@ pub(super) fn read(
         version,
     });
     Ok(env.push_read_copy(table, row, buf))
+}
+
+/// OCC range scan (shared with SILO and TICTOC): the visited B+-tree
+/// leaves and their versions join the transaction's node set, re-validated
+/// at commit (Silo/Masstree phantom protection); rows are read
+/// optimistically like point reads.
+pub(super) fn scan(
+    env: &mut SchemeEnv<'_>,
+    table: TableId,
+    low: Key,
+    high: Key,
+    f: &mut dyn FnMut(Key, &Schema, &[u8]),
+) -> Result<usize, TxnError> {
+    let sr = env.db.require_ordered(table)?.scan(low, high);
+    env.stats.scan_retries += sr.retries;
+    for &(leaf, version) in &sr.leaves {
+        env.st.node_set.push(NodeSetEntry {
+            table,
+            leaf,
+            version,
+        });
+    }
+    let mut got: Vec<(Key, usize)> = Vec::with_capacity(sr.entries.len());
+    for &(k, row) in &sr.entries {
+        match read(env, table, row)? {
+            ReadRef::Rbuf(i) => got.push((k, i)),
+            ReadRef::InPlace { .. } => unreachable!("OCC reads always copy"),
+        }
+    }
+    let t = &env.db.tables[table as usize];
+    let len = t.row_size();
+    for &(k, i) in &got {
+        f(k, t.schema(), &env.st.rbuf[i].data[..len]);
+    }
+    Ok(got.len())
 }
 
 /// OCC write: read-modify-write into the private workspace.

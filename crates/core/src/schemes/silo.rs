@@ -39,13 +39,13 @@ use super::occ;
 use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::epoch;
 use crate::lockword::silo;
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// Epoch-based OCC (Silo, SOSP'13).
 pub struct Silo;
 
 impl CcProtocol for Silo {
-    super::scheme_caps!(CcScheme::Silo);
+    const SCHEME: CcScheme = CcScheme::Silo;
 
     /// SILO read: optimistic seqlock copy + read-set TID recording (OCC's
     /// read phase, reused verbatim — the recorded `version` is the TID
@@ -91,13 +91,13 @@ impl CcProtocol for Silo {
 
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_occ(table, low, high, f)
+        occ::scan(env, table, low, high, f)
     }
 
     /// Validation + write phase; the commit TID comes from the epoch
@@ -234,6 +234,7 @@ mod tests {
     use abyss_common::CcScheme;
     use abyss_storage::{row, Catalog, Schema};
 
+    use super::Silo;
     use crate::config::EngineConfig;
     use crate::db::Database;
 
@@ -252,7 +253,7 @@ mod tests {
     #[test]
     fn commit_tids_are_monotonic_and_epoch_tagged() {
         let db = silo_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Silo>(0);
         let mut last = 0u64;
         for i in 0..5u64 {
             ctx.run_txn(&[], |t| {
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn written_tuple_carries_the_commit_tid() {
         let db = silo_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Silo>(0);
         ctx.run_txn(&[], |t| t.update(0, 7, |s, d| row::set_u64(s, d, 1, 777)))
             .unwrap();
         let meta = db.row_meta(0, db.index_get(0, 7).unwrap());
@@ -281,7 +282,7 @@ mod tests {
     #[test]
     fn inserted_rows_carry_the_commit_tid() {
         let db = silo_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Silo>(0);
         ctx.run_txn(&[], |t| {
             t.insert(0, 500, |s, d| {
                 row::set_u64(s, d, 0, 500);
@@ -297,7 +298,7 @@ mod tests {
     #[test]
     fn epoch_advance_raises_commit_epochs() {
         let db = silo_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Silo>(0);
         ctx.run_txn(&[], |t| t.update(0, 1, |s, d| row::set_u64(s, d, 1, 1)))
             .unwrap();
         let e1 = crate::epoch::tid_epoch(ctx.last_commit_tid());
@@ -319,7 +320,7 @@ mod tests {
         // reads and its commit) must be reflected in the commit TID, not
         // the epoch current at begin().
         let db = silo_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<Silo>(0);
         ctx.begin(&[], None).unwrap();
         let v = ctx.read_u64(0, 1, 1).unwrap();
         let advanced = db.epoch_manager().advance();
@@ -336,8 +337,8 @@ mod tests {
     #[test]
     fn stale_read_set_fails_validation() {
         let db = silo_db(2);
-        let mut a = db.worker(0);
-        let mut b = db.worker(1);
+        let mut a = db.worker_as::<Silo>(0);
+        let mut b = db.worker_as::<Silo>(1);
         // a reads key 5, then b commits a write to it; a's commit (which
         // also writes, so it cannot be a blind no-op) must abort.
         a.begin(&[], None).unwrap();

@@ -50,13 +50,13 @@ use abyss_storage::Schema;
 use super::occ;
 use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::lockword::tictoc;
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// Data-driven timestamp OCC (TicToc, SIGMOD'16).
 pub struct TicToc;
 
 impl CcProtocol for TicToc {
-    super::scheme_caps!(CcScheme::TicToc);
+    const SCHEME: CcScheme = CcScheme::TicToc;
 
     /// TICTOC read: optimistic seqlock copy + read-set recording of the
     /// whole `wts`/`rts` word (OCC's read phase, reused verbatim — the
@@ -101,13 +101,13 @@ impl CcProtocol for TicToc {
 
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_occ(table, low, high, f)
+        occ::scan(env, table, low, high, f)
     }
 
     /// Validation + write phase (steps 2–6 of the module docs).
@@ -246,6 +246,7 @@ mod tests {
     use abyss_common::CcScheme;
     use abyss_storage::{row, Catalog, Schema};
 
+    use super::TicToc;
     use crate::config::EngineConfig;
     use crate::db::Database;
     use crate::lockword::tictoc;
@@ -272,7 +273,7 @@ mod tests {
     #[test]
     fn written_tuple_carries_wts_equal_rts() {
         let db = tictoc_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<TicToc>(0);
         ctx.run_txn(&[], |t| t.update(0, 7, |s, d| row::set_u64(s, d, 1, 777)))
             .unwrap();
         let w = word_of(&db, 7);
@@ -284,7 +285,7 @@ mod tests {
     #[test]
     fn wts_is_monotonic_across_commits() {
         let db = tictoc_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<TicToc>(0);
         let mut last = 0u64;
         for i in 0..5u64 {
             ctx.run_txn(&[], |t| {
@@ -300,7 +301,7 @@ mod tests {
     #[test]
     fn read_then_write_elsewhere_extends_rts() {
         let db = tictoc_db(1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<TicToc>(0);
         // Drive key 9's rts up by writing it twice, then commit a txn that
         // reads key 5 and writes key 9: its computed commit timestamp is
         // rts(9)+1 > rts(5), so validating the read of 5 must extend it.
@@ -331,8 +332,8 @@ mod tests {
     #[test]
     fn stale_read_set_fails_validation() {
         let db = tictoc_db(2);
-        let mut a = db.worker(0);
-        let mut b = db.worker(1);
+        let mut a = db.worker_as::<TicToc>(0);
+        let mut b = db.worker_as::<TicToc>(1);
         a.begin(&[], None).unwrap();
         let v = a.read_u64(0, 5, 1).unwrap();
         assert_eq!(v, 100);
@@ -358,8 +359,8 @@ mod tests {
         // its [wts, rts] window and the computed commit timestamp picks a
         // point inside all of them (no re-read, no abort).
         let db = tictoc_db(2);
-        let mut reader = db.worker(0);
-        let mut writer = db.worker(1);
+        let mut reader = db.worker_as::<TicToc>(0);
+        let mut writer = db.worker_as::<TicToc>(1);
         reader.begin(&[], None).unwrap();
         let a = reader.read_u64(0, 1, 1).unwrap();
         // A writer commits to an *unrelated* key between the reads.
@@ -387,7 +388,7 @@ mod tests {
         db.row_meta(0, row9)
             .word
             .store(tictoc::pack(far, far), std::sync::atomic::Ordering::Release);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<TicToc>(0);
         ctx.run_txn(&[], |t| {
             let v = t.read_u64(0, 5, 1)?;
             t.update(0, 9, |s, d| row::set_u64(s, d, 1, v))
@@ -413,7 +414,7 @@ mod tests {
         let db = tictoc_db(1);
         let em = db.epoch_manager();
         assert_eq!(em.min_active(), None);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<TicToc>(0);
         ctx.begin(&[], None).unwrap();
         let pinned = em.min_active().expect("txn must register in the epoch");
         em.advance();

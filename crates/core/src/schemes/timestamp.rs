@@ -34,13 +34,13 @@ use super::{CcProtocol, ReadRef, SchemeEnv};
 use crate::lockword::to;
 use crate::meta::ToLatch;
 use crate::txn::{DeleteEntry, InsertEntry, WriteEntry};
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// Basic timestamp ordering with per-tuple read/write timestamps.
 pub struct Timestamp;
 
 impl CcProtocol for Timestamp {
-    super::scheme_caps!(CcScheme::Timestamp);
+    const SCHEME: CcScheme = CcScheme::Timestamp;
 
     #[inline]
     fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef, AbortReason> {
@@ -79,13 +79,15 @@ impl CcProtocol for Timestamp {
 
     #[inline]
     fn scan(
-        ctx: &mut WorkerCtx<Self>,
+        env: &mut SchemeEnv<'_>,
         table: TableId,
         low: Key,
         high: Key,
         f: &mut dyn FnMut(Key, &Schema, &[u8]),
     ) -> Result<usize, TxnError> {
-        ctx.scan_to(table, low, high, f)
+        scan(env, table, low, high, f, |env, table, row| {
+            read(env, table, row).map(Some)
+        })
     }
 
     fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
@@ -94,6 +96,77 @@ impl CcProtocol for Timestamp {
 
     fn abort(env: &mut SchemeEnv<'_>) {
         abort(env);
+    }
+}
+
+/// T/O range scan (shared with MVCC): tag every visited B+-tree leaf with
+/// the transaction's timestamp (`scan_rts`) *before* reading rows, so
+/// structural writers with smaller timestamps abort at commit; read each
+/// row through `read_row` (`None` = invisible at this snapshot, skip —
+/// MVCC's snapshot-bounded scan); then revalidate the leaf versions and
+/// restart if anything changed structurally since the leaf snapshot.
+pub(super) fn scan<R>(
+    env: &mut SchemeEnv<'_>,
+    table: TableId,
+    low: Key,
+    high: Key,
+    f: &mut dyn FnMut(Key, &Schema, &[u8]),
+    read_row: R,
+) -> Result<usize, TxnError>
+where
+    R: Fn(&mut SchemeEnv<'_>, TableId, RowIdx) -> Result<Option<ReadRef>, AbortReason>,
+{
+    let db = env.db;
+    let tree = db.require_ordered(table)?;
+    let ts = env.st.ts;
+    let mut attempts = 0u32;
+    // Read copies taken by an attempt that fails leaf revalidation are
+    // dead; recycle them instead of letting them pile up in rbuf until
+    // transaction end (64 retries × scan length would otherwise pin that
+    // many pool blocks on the hot scan path).
+    let rbuf_base = env.st.rbuf.len();
+    loop {
+        attempts += 1;
+        if attempts > 64 {
+            return Err(TxnError::Abort(AbortReason::ValidationFail));
+        }
+        for rc in env.st.rbuf.drain(rbuf_base..) {
+            env.pool.free(rc.data);
+        }
+        let sr = tree.scan(low, high);
+        env.stats.scan_retries += sr.retries;
+        for &(leaf, _) in &sr.leaves {
+            // Publish "a transaction at `ts` read this key range" *before*
+            // reading rows: structural writers with smaller timestamps
+            // will abort against it.
+            tree.leaf_bump_scan_rts(leaf, ts);
+            if tree.leaf_del_wts(leaf) > ts {
+                // A delete serialized after us already removed a key from
+                // this range; this snapshot cannot be reconstructed.
+                return Err(TxnError::Abort(AbortReason::TsOrderViolation));
+            }
+        }
+        let mut got: Vec<(Key, usize)> = Vec::with_capacity(sr.entries.len());
+        for &(k, row) in &sr.entries {
+            match read_row(env, table, row)? {
+                Some(ReadRef::Rbuf(i)) => got.push((k, i)),
+                Some(ReadRef::InPlace { .. }) => unreachable!("T/O reads always copy"),
+                None => {} // created after this snapshot: skip
+            }
+        }
+        // Revalidate after the reads: any structural change since the leaf
+        // snapshot (insert by a later ts, delete, split) restarts the scan
+        // so the entry list and the row reads agree.
+        if sr.leaves.iter().any(|&(l, v)| tree.leaf_version(l) != v) {
+            env.stats.scan_retries += 1;
+            continue;
+        }
+        let t = &db.tables[table as usize];
+        let len = t.row_size();
+        for &(k, i) in &got {
+            f(k, t.schema(), &env.st.rbuf[i].data[..len]);
+        }
+        return Ok(got.len());
     }
 }
 

@@ -34,7 +34,7 @@ use crate::lockword::rw;
 use crate::meta::{LockMode, Owner, RowMeta, Waiter};
 use crate::park::WaitOutcome;
 use crate::txn::{DeleteEntry, HeldLock, InsertEntry, TxnState, UndoEntry, GAP_ROW};
-use crate::worker::{TxnError, WorkerCtx};
+use crate::worker::TxnError;
 
 /// 2PL with non-waiting deadlock prevention (deny => abort).
 pub struct NoWait;
@@ -47,9 +47,8 @@ pub struct WaitDie;
 /// and where lock ownership lives (NO_WAIT packs it into the atomic
 /// word; the queue variants keep owner/waiter lists). Everything else —
 /// hold tracking, gap locking, undo, the shrink phase — is shared code
-/// generic over this trait. [`super::AnyScheme`] implements it by
-/// dispatching on the configured scheme.
-pub(crate) trait Variant: CcProtocol {
+/// generic over this trait.
+trait Variant {
     /// Acquire `mode` on the tuple (the transaction does not hold it yet;
     /// `upgrade` means it holds S and wants X).
     fn acquire(
@@ -154,7 +153,7 @@ fn queue_seed(st: &TxnState, meta: &RowMeta) {
 macro_rules! twopl_protocol {
     ($ty:ident, $scheme:expr) => {
         impl CcProtocol for $ty {
-            super::scheme_caps!($scheme);
+            const SCHEME: CcScheme = $scheme;
 
             #[inline]
             fn read(
@@ -197,13 +196,13 @@ macro_rules! twopl_protocol {
 
             #[inline]
             fn scan(
-                ctx: &mut WorkerCtx<Self>,
+                env: &mut SchemeEnv<'_>,
                 table: TableId,
                 low: Key,
                 high: Key,
                 f: &mut dyn FnMut(Key, &Schema, &[u8]),
             ) -> Result<usize, TxnError> {
-                scan_2pl::<Self>(ctx, table, low, high, f)
+                scan::<Self>(env, table, low, high, f)
             }
 
             fn commit(env: &mut SchemeEnv<'_>) -> Result<(), AbortReason> {
@@ -482,16 +481,6 @@ fn release_all<V: Variant>(env: &mut SchemeEnv<'_>) {
     }
 }
 
-/// S-lock `(table, row)` without reading it — the scan path's next-key
-/// locking primitive (rows in range, the boundary row, the gap anchor).
-pub(crate) fn lock_shared<V: Variant>(
-    env: &mut SchemeEnv<'_>,
-    table: TableId,
-    row: RowIdx,
-) -> Result<(), AbortReason> {
-    acquire::<V>(env, table, row, LockMode::Shared)
-}
-
 /// The next-key lock an inserter must take before publishing `key`: the
 /// successor entry's row, or the table's +∞ gap anchor when none exists.
 fn gap_target(env: &SchemeEnv<'_>, table: TableId, key: Key) -> Option<RowIdx> {
@@ -666,49 +655,46 @@ fn release_last_lock<V: Variant>(env: &mut SchemeEnv<'_>, table: TableId, row: R
     V::release_one(env.db, env.st.txn_id, meta, LockMode::Exclusive);
 }
 
-/// 2PL scan driver: the next-key walk described on
-/// [`crate::worker::WorkerCtx::scan`]. Only lockable protocols (the
-/// three 2PL variants, plus the runtime shim) can instantiate it.
-pub(crate) fn scan_2pl<V: Variant>(
-    ctx: &mut WorkerCtx<V>,
+/// 2PL range scan — a next-key walk: each row (plus the first row beyond
+/// `high`, or the table's +∞ gap anchor) is S-locked *before* the gap
+/// below it is trusted, and inserters take an instant X on their
+/// successor (see [`insert`]), so no key can appear in a scanned gap.
+fn scan<V: Variant>(
+    env: &mut SchemeEnv<'_>,
     table: TableId,
     low: Key,
     high: Key,
     f: &mut dyn FnMut(Key, &Schema, &[u8]),
 ) -> Result<usize, TxnError> {
+    let db = env.db;
+    let tree = db.require_ordered(table)?;
     let mut count = 0usize;
     let mut cursor = low;
     loop {
-        let succ = ctx.db.require_ordered(table)?.successor_inclusive(cursor);
-        match succ {
+        match tree.successor_inclusive(cursor) {
             None => {
                 // Lock the +∞ gap anchor, then confirm the tail gap is
                 // still empty (an insert may have raced the lock).
-                lock_shared::<V>(&mut ctx.env(), table, GAP_ROW).map_err(TxnError::Abort)?;
-                if ctx
-                    .db
-                    .require_ordered(table)?
-                    .successor_inclusive(cursor)
-                    .is_some()
-                {
-                    ctx.stats.scan_retries += 1;
+                acquire::<V>(env, table, GAP_ROW, LockMode::Shared)?;
+                if tree.successor_inclusive(cursor).is_some() {
+                    env.stats.scan_retries += 1;
                     continue;
                 }
                 break;
             }
             Some((k, row)) => {
-                lock_shared::<V>(&mut ctx.env(), table, row).map_err(TxnError::Abort)?;
+                acquire::<V>(env, table, row, LockMode::Shared)?;
                 // Holding S on the successor freezes the gap below it;
                 // re-verify nothing slipped in (or that the row itself
                 // was deleted) before the lock landed.
-                match ctx.db.require_ordered(table)?.successor_inclusive(cursor) {
+                match tree.successor_inclusive(cursor) {
                     Some((k2, r2)) if k2 == k && r2 == row => {
                         if k > high {
                             // Boundary row locked: the (last-in-range,
                             // successor) gap is protected. Done.
                             break;
                         }
-                        let t = &ctx.db.tables[table as usize];
+                        let t = &db.tables[table as usize];
                         // SAFETY: the S lock held to commit/abort
                         // excludes writers.
                         let data = unsafe { t.row(row) };
@@ -720,7 +706,7 @@ pub(crate) fn scan_2pl<V: Variant>(
                         };
                     }
                     _ => {
-                        ctx.stats.scan_retries += 1;
+                        env.stats.scan_retries += 1;
                     }
                 }
             }

@@ -10,11 +10,12 @@
 //!
 //! * [`TxnService::submit`] — many producer threads submit
 //!   `(procedure, args, priority)`; the call builds the template via the
-//!   [`ProcRegistry`], round-robins it onto a per-worker [bounded
-//!   queue](queue), and returns a [`TxnTicket`] that resolves exactly once.
+//!   [`ProcRegistry`], round-robins it onto a per-worker bounded queue,
+//!   and returns a [`TxnTicket`] that resolves exactly once.
 //! * One CC worker per shard drains its queue through the existing
 //!   monomorphized [`CcProtocol`](crate::schemes::CcProtocol) executor —
-//!   the same `dispatch_protocol!`-bound loop the benches measure.
+//!   the same [`dispatch_protocol!`](crate::dispatch_protocol)-bound loop
+//!   the benches measure.
 //! * **Backpressure:** each shard is bounded; a full shard either blocks
 //!   the producer or returns [`SubmitError::QueueFull`] per
 //!   [`ServeConfig::block_on_full`].

@@ -117,7 +117,7 @@ impl TxnService {
                         // best-effort, before the worker touches any
                         // shared state.
                         pin.apply(w, workers);
-                        crate::schemes::dispatch_protocol!(scheme, P => {
+                        crate::dispatch_protocol!(scheme, P => {
                             worker_loop::<P>(db, shared, w)
                         })
                     })

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 const CLOCK_WORKER_BITS: u32 = 10;
 /// Workers representable in a clock timestamp. Worker ids at or beyond
 /// this would alias another worker's timestamps (the id is packed into
-/// the low [`CLOCK_WORKER_BITS`] bits), silently breaking the
+/// the low `CLOCK_WORKER_BITS` bits), silently breaking the
 /// cross-worker uniqueness WAIT_DIE's age ordering and every T/O rule
 /// depend on — so [`SharedTs::handle`] rejects them up front.
 pub const CLOCK_MAX_WORKERS: u32 = 1 << CLOCK_WORKER_BITS;
@@ -105,7 +105,7 @@ impl SharedTs {
     /// Create the per-worker handle. Each worker must use its own.
     ///
     /// Panics when `worker` cannot be represented in a clock timestamp
-    /// ([`CLOCK_MAX_WORKERS`]): packed into [`CLOCK_WORKER_BITS`] bits
+    /// ([`CLOCK_MAX_WORKERS`]): packed into `CLOCK_WORKER_BITS` bits
     /// without this check, worker 1024 would silently mint the same
     /// timestamps as worker 0.
     pub fn handle(&self, worker: CoreId) -> TsHandle {

@@ -7,7 +7,7 @@ use abyss_storage::mempool::PoolBlock;
 use crate::meta::LockMode;
 
 /// Pseudo row index addressing a table's "+∞ key" lock anchor
-/// ([`crate::db::Database::row_meta`]). 2PL scans S-lock it when a range
+/// (`Database::row_meta`). 2PL scans S-lock it when a range
 /// has no successor; inserters of a new maximum key X-lock it — next-key
 /// locking's representation of the unbounded tail gap.
 pub const GAP_ROW: RowIdx = RowIdx::MAX;

@@ -2,13 +2,10 @@
 //! multi-threaded benchmark drivers.
 //!
 //! [`WorkerCtx`] is generic over a [`CcProtocol`] impl: the benchmark
-//! drivers instantiate it with the configured scheme's static type (via
-//! `dispatch_protocol!`, once per run), so the steady-state loop contains
-//! no scheme dispatch at all — the protocol inlines into the access
-//! path. The default type parameter, [`AnyScheme`], recovers classic
-//! enum dispatch (one match per operation) for callers that cannot name
-//! the scheme in their types; [`crate::db::Database::worker`] hands out
-//! that flavor.
+//! drivers instantiate it with the configured scheme's type (via
+//! [`dispatch_protocol!`](crate::dispatch_protocol), once per run), so the
+//! steady-state loop contains no scheme dispatch at all — the protocol
+//! inlines into the access path.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,9 +18,9 @@ use abyss_storage::{MemPool, Schema};
 use crate::backoff::BackoffCtl;
 use crate::db::Database;
 use crate::obs::PhaseClock;
-use crate::schemes::{AnyScheme, CcProtocol, ReadRef, SchemeEnv};
+use crate::schemes::{CcProtocol, ReadRef, SchemeEnv};
 use crate::ts::TsHandle;
-use crate::txn::{make_txn_id, NodeSetEntry, RedoEntry, TxnState};
+use crate::txn::{make_txn_id, RedoEntry, TxnState};
 
 /// Errors surfaced by the transaction API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,13 +55,12 @@ impl std::fmt::Display for TxnError {
 impl std::error::Error for TxnError {}
 
 /// A per-thread execution context. Create one per worker thread with
-/// [`Database::worker`]; it is `Send` but not `Sync` (one thread at a
+/// [`Database::worker_as`]; it is `Send` but not `Sync` (one thread at a
 /// time), mirroring the paper's one-worker-per-core model.
 ///
 /// The type parameter is the concurrency-control protocol the context
-/// executes (see the module docs); the default, [`AnyScheme`], dispatches
-/// on the database's configured scheme at runtime.
-pub struct WorkerCtx<P: CcProtocol = AnyScheme> {
+/// executes; it must name the database's configured scheme.
+pub struct WorkerCtx<P: CcProtocol> {
     pub(crate) db: Arc<Database>,
     pub(crate) worker: u32,
     pub(crate) ts_handle: TsHandle,
@@ -98,17 +94,17 @@ pub struct WorkerCtx<P: CcProtocol = AnyScheme> {
 impl<P: CcProtocol> WorkerCtx<P> {
     pub(crate) fn new(db: Arc<Database>, worker: u32) -> Self {
         assert!(
-            P::STATIC_SCHEME.is_none_or(|s| s == db.cfg.scheme),
-            "protocol {:?} instantiated against a {} database",
-            P::STATIC_SCHEME,
+            P::SCHEME == db.cfg.scheme,
+            "protocol {} instantiated against a {} database",
+            P::SCHEME,
             db.cfg.scheme
         );
         let ts_handle = db.ts.handle(worker);
         let phases = PhaseClock::new(db.cfg.breakdown);
-        let backoff_ctl = db.cfg.adaptive_backoff.then(|| {
-            let scheme = db.cfg.scheme;
-            BackoffCtl::new(P::backoff_gain_pct(scheme), P::backoff_ceiling_us(scheme))
-        });
+        let backoff_ctl = db
+            .cfg
+            .adaptive_backoff
+            .then(|| BackoffCtl::for_scheme(P::SCHEME));
         Self {
             db,
             worker,
@@ -192,10 +188,9 @@ impl<P: CcProtocol> WorkerCtx<P> {
             self.st.txn_id,
             crate::obs::TraceEventKind::Begin,
         );
-        let scheme = self.db.cfg.scheme;
-        self.st.ts = if P::needs_ts(scheme) {
+        self.st.ts = if P::SCHEME.needs_start_ts() {
             match reuse_ts {
-                Some(ts) if P::ts_reuse_on_restart(scheme) => ts,
+                Some(ts) if P::SCHEME.reuses_ts_on_restart() => ts,
                 _ => {
                     self.stats.ts_allocated += 1;
                     self.phases.set(Phase::TsAlloc);
@@ -207,11 +202,11 @@ impl<P: CcProtocol> WorkerCtx<P> {
         } else {
             0
         };
-        if P::tracks_waits(scheme) {
+        if P::SCHEME.tracks_waits() {
             self.db.waits.set_active(self.worker, self.st.txn_id);
         }
         self.st.read_only = read_only;
-        if P::uses_epoch(scheme) || (self.db.wal.is_some() && !read_only) {
+        if P::SCHEME.uses_epoch() || (self.db.wal.is_some() && !read_only) {
             // Register in the current epoch (SILO: commit identity + GC;
             // TICTOC: the quiescence horizon alone; with logging on,
             // every scheme: the group-commit flush horizon — a worker
@@ -239,11 +234,12 @@ impl<P: CcProtocol> WorkerCtx<P> {
     /// through its commit-time removal; OCC/SILO bump the word; MVCC
     /// resolves after removal), so a stale row reference surfaces here as
     /// the same `KeyNotFound` a fresh probe would produce — instead of
-    /// resurrecting the dead row. Schemes with `GUARDS_DELETED = false`
+    /// resurrecting the dead row. Schemes without
+    /// [`guards_deleted_rows`](abyss_common::CcScheme::guards_deleted_rows)
     /// need no probe (TIMESTAMP tombstones deleted rows with `wts = ∞`;
     /// H-STORE's partition ownership excludes concurrent deleters).
     fn check_not_deleted(&self, table: TableId, key: Key, row: RowIdx) -> Result<(), TxnError> {
-        if !P::guards_deleted(self.db.cfg.scheme) {
+        if !P::SCHEME.guards_deleted_rows() {
             return Ok(());
         }
         if self.db.indexes[table as usize].find(key) == Some(row) {
@@ -463,22 +459,10 @@ impl<P: CcProtocol> WorkerCtx<P> {
 
     /// Range-scan `table` over `low..=high` (requires an ordered index),
     /// invoking `f` with each qualifying row. Returns the number of rows
-    /// observed. Phantom protection is per scheme (each protocol picks
-    /// one of the drivers below):
-    ///
-    /// * **2PL** — a next-key walk: each row (plus the first row beyond
-    ///   `high`, or the table's +∞ gap anchor) is S-locked *before* the
-    ///   gap below it is trusted, and inserters take an instant X on their
-    ///   successor, so no key can appear in a scanned gap;
-    /// * **TIMESTAMP / MVCC** — the scan tags every visited leaf with its
-    ///   timestamp (`scan_rts`); structural writers with smaller
-    ///   timestamps abort at commit, and the scan revalidates leaf
-    ///   versions after its reads (MVCC additionally skips rows invisible
-    ///   at its snapshot);
-    /// * **OCC / SILO / TICTOC** — the visited leaves and their versions
-    ///   join the transaction's node set, re-validated at commit
-    ///   (Silo/Masstree);
-    /// * **H-STORE** — partition ownership already serializes the scan.
+    /// observed. Phantom protection is the scheme's own
+    /// ([`CcProtocol::scan`]): a next-key walk under 2PL, leaf-tagged
+    /// timestamps under TIMESTAMP/MVCC, a validated node set under
+    /// OCC/SILO/TICTOC, partition ownership under H-STORE.
     pub fn scan(
         &mut self,
         table: TableId,
@@ -492,7 +476,7 @@ impl<P: CcProtocol> WorkerCtx<P> {
         // The whole scan (tree walk + per-row admission) counts as Index;
         // waits inside it are deducted by `note_wait` as usual.
         self.phases.set(Phase::Index);
-        let r = P::scan(self, table, low, high, &mut f);
+        let r = P::scan(&mut self.env(), table, low, high, &mut f);
         self.phases.set(Phase::UsefulWork);
         r
     }
@@ -510,143 +494,6 @@ impl<P: CcProtocol> WorkerCtx<P> {
             sum = sum.wrapping_add(abyss_storage::row::get_u64(schema, data, col));
         })?;
         Ok((n, sum))
-    }
-
-    /// H-STORE scan driver: the owned partitions make the walk exclusive.
-    pub(crate) fn scan_hstore(
-        &mut self,
-        table: TableId,
-        low: Key,
-        high: Key,
-        f: &mut dyn FnMut(Key, &Schema, &[u8]),
-    ) -> Result<usize, TxnError> {
-        let sr = self.db.require_ordered(table)?.scan(low, high);
-        self.stats.scan_retries += sr.retries;
-        let t = &self.db.tables[table as usize];
-        for &(k, row) in &sr.entries {
-            // SAFETY: the transaction owns every partition it touches.
-            let data = unsafe { t.row(row) };
-            f(k, t.schema(), data);
-        }
-        Ok(sr.entries.len())
-    }
-
-    /// TIMESTAMP / MVCC scan driver: leaf-tag the range, read per row
-    /// (through [`CcProtocol::read_for_scan`], so MVCC skips rows
-    /// invisible at its snapshot), then revalidate leaf versions (see
-    /// [`WorkerCtx::scan`]).
-    pub(crate) fn scan_to(
-        &mut self,
-        table: TableId,
-        low: Key,
-        high: Key,
-        f: &mut dyn FnMut(Key, &Schema, &[u8]),
-    ) -> Result<usize, TxnError> {
-        let ts = self.st.ts;
-        let mut attempts = 0u32;
-        // Read copies taken by an attempt that fails leaf revalidation are
-        // dead; recycle them instead of letting them pile up in rbuf until
-        // transaction end (64 retries × scan length would otherwise pin
-        // that many pool blocks on the hot scan path).
-        let rbuf_base = self.st.rbuf.len();
-        'retry: loop {
-            attempts += 1;
-            if attempts > 64 {
-                return Err(TxnError::Abort(AbortReason::ValidationFail));
-            }
-            for rc in self.st.rbuf.drain(rbuf_base..) {
-                self.pool.free(rc.data);
-            }
-            let (entries, leaves) = {
-                let tree = self.db.require_ordered(table)?;
-                let sr = tree.scan(low, high);
-                self.stats.scan_retries += sr.retries;
-                (sr.entries, sr.leaves)
-            };
-            {
-                let tree = self.db.require_ordered(table)?;
-                for &(leaf, _) in &leaves {
-                    // Publish "a transaction at `ts` read this key range"
-                    // *before* reading rows: structural writers with
-                    // smaller timestamps will abort against it.
-                    tree.leaf_bump_scan_rts(leaf, ts);
-                    if tree.leaf_del_wts(leaf) > ts {
-                        // A delete serialized after us already removed a
-                        // key from this range; this snapshot cannot be
-                        // reconstructed.
-                        return Err(TxnError::Abort(AbortReason::TsOrderViolation));
-                    }
-                }
-            }
-            let mut got: Vec<(Key, usize)> = Vec::with_capacity(entries.len());
-            for &(k, row) in &entries {
-                let r = P::read_for_scan(&mut self.env(), table, row).map_err(TxnError::Abort)?;
-                match r {
-                    Some(ReadRef::Rbuf(i)) => got.push((k, i)),
-                    Some(ReadRef::InPlace { .. }) => {
-                        unreachable!("T/O reads always copy")
-                    }
-                    None => {} // created after this snapshot: skip
-                }
-            }
-            // Revalidate after the reads: any structural change since the
-            // leaf snapshot (insert by a later ts, delete, split) restarts
-            // the scan so the entry list and the row reads agree.
-            let changed = {
-                let tree = self.db.require_ordered(table)?;
-                leaves.iter().any(|&(l, v)| tree.leaf_version(l) != v)
-            };
-            if changed {
-                self.stats.scan_retries += 1;
-                continue 'retry;
-            }
-            let t = &self.db.tables[table as usize];
-            let schema = t.schema();
-            let len = t.row_size();
-            for &(k, i) in &got {
-                f(k, schema, &self.st.rbuf[i].data[..len]);
-            }
-            return Ok(got.len());
-        }
-    }
-
-    /// OCC / SILO / TICTOC scan driver: record the node set, read
-    /// optimistically.
-    pub(crate) fn scan_occ(
-        &mut self,
-        table: TableId,
-        low: Key,
-        high: Key,
-        f: &mut dyn FnMut(Key, &Schema, &[u8]),
-    ) -> Result<usize, TxnError> {
-        let (entries, leaves) = {
-            let tree = self.db.require_ordered(table)?;
-            let sr = tree.scan(low, high);
-            self.stats.scan_retries += sr.retries;
-            (sr.entries, sr.leaves)
-        };
-        for &(leaf, version) in &leaves {
-            self.st.node_set.push(NodeSetEntry {
-                table,
-                leaf,
-                version,
-            });
-        }
-        let mut got: Vec<(Key, usize)> = Vec::with_capacity(entries.len());
-        for &(k, row) in &entries {
-            let r = P::read(&mut self.env(), table, row).map_err(TxnError::Abort)?;
-            match r {
-                ReadRef::Rbuf(i) => got.push((k, i)),
-                ReadRef::InPlace { .. } => unreachable!("OCC reads always copy"),
-            }
-        }
-        let t = &self.db.tables[table as usize];
-        let schema = t.schema();
-        let len = t.row_size();
-        for &(k, i) in &got {
-            f(k, schema, &self.st.rbuf[i].data[..len]);
-        }
-        Ok(got.len())
     }
 
     /// Commit. May abort (OCC validation, insert races); the transaction
@@ -713,13 +560,12 @@ impl<P: CcProtocol> WorkerCtx<P> {
     }
 
     fn finish(&mut self) {
-        let scheme = self.db.cfg.scheme;
-        if P::tracks_waits(scheme) {
+        if P::SCHEME.tracks_waits() {
             self.db.waits.clear_active(self.worker);
         }
         // Mirror of begin_inner's enter condition — evaluated before
         // `reset` clears `read_only`, so enter/exit always pair up.
-        if P::uses_epoch(scheme) || (self.db.wal.is_some() && !self.st.read_only) {
+        if P::SCHEME.uses_epoch() || (self.db.wal.is_some() && !self.st.read_only) {
             self.db.epoch.exit(self.worker);
         }
         self.st.reset(&mut self.pool);
@@ -1057,7 +903,7 @@ pub fn run_workers(
     measure: Duration,
 ) -> BenchOutcome {
     let stop = Stop::Window { warmup, measure };
-    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
+    crate::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
 }
 
 /// Like [`run_workers`], but each worker executes **exactly**
@@ -1073,12 +919,13 @@ pub fn run_workers_bounded(
     txns_per_worker: u64,
 ) -> BenchOutcome {
     let stop = Stop::Txns(txns_per_worker);
-    crate::schemes::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
+    crate::dispatch_protocol!(db.cfg.scheme, P => drive::<P>(db, generators, stop))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
     use abyss_common::CcScheme;
     use abyss_storage::{row, Catalog, Schema};
 
@@ -1094,8 +941,9 @@ mod tests {
         db
     }
 
-    fn smoke_worker<P: CcProtocol>(db: &Arc<Database>) {
-        let scheme = db.scheme();
+    fn smoke_worker<P: CcProtocol>() {
+        let scheme = P::SCHEME;
+        let db = db(scheme, 2);
         let mut ctx = db.worker_as::<P>(0);
         // read + update + commit
         ctx.run_txn(&[0, 1], |t| {
@@ -1143,18 +991,9 @@ mod tests {
         assert_eq!(ctx.run_txn(&[0, 1], |t| t.read_u64(0, 500, 1)).unwrap(), 42);
     }
 
-    /// The same smoke transaction flow through the runtime shim *and* the
-    /// monomorphized protocol — both dispatch flavors must behave alike.
-    fn smoke_single_worker(scheme: CcScheme) {
-        let shim_db = db(scheme, 2);
-        smoke_worker::<AnyScheme>(&shim_db);
-        let mono_db = db(scheme, 2);
-        crate::schemes::dispatch_protocol!(scheme, P => smoke_worker::<P>(&mono_db));
-    }
-
     #[test]
     fn single_worker_no_wait() {
-        smoke_single_worker(CcScheme::NoWait);
+        smoke_worker::<NoWait>();
     }
 
     /// Regression: backoff jitter seeds must be distinct, well-mixed, and
@@ -1165,8 +1004,8 @@ mod tests {
     #[test]
     fn backoff_jitter_streams_differ_across_workers() {
         let db = db(CcScheme::NoWait, 4);
-        let mut a = db.worker(0);
-        let mut b = db.worker(1);
+        let mut a = db.worker_as::<NoWait>(0);
+        let mut b = db.worker_as::<NoWait>(1);
         let draws_a: Vec<u64> = (0..8).map(|_| a.jitter_draw()).collect();
         let draws_b: Vec<u64> = (0..8).map(|_| b.jitter_draw()).collect();
         for (i, (x, y)) in draws_a.iter().zip(&draws_b).enumerate() {
@@ -1183,69 +1022,69 @@ mod tests {
 
     #[test]
     fn single_worker_dl_detect() {
-        smoke_single_worker(CcScheme::DlDetect);
+        smoke_worker::<DlDetect>();
     }
 
     #[test]
     fn single_worker_wait_die() {
-        smoke_single_worker(CcScheme::WaitDie);
+        smoke_worker::<WaitDie>();
     }
 
     #[test]
     fn single_worker_timestamp() {
-        smoke_single_worker(CcScheme::Timestamp);
+        smoke_worker::<Timestamp>();
     }
 
     #[test]
     fn single_worker_mvcc() {
-        smoke_single_worker(CcScheme::Mvcc);
+        smoke_worker::<Mvcc>();
     }
 
     #[test]
     fn single_worker_occ() {
-        smoke_single_worker(CcScheme::Occ);
+        smoke_worker::<Occ>();
     }
 
     #[test]
     fn single_worker_hstore() {
-        smoke_single_worker(CcScheme::HStore);
+        smoke_worker::<HStore>();
     }
 
     #[test]
     fn single_worker_silo() {
-        smoke_single_worker(CcScheme::Silo);
+        smoke_worker::<Silo>();
     }
 
     #[test]
     fn single_worker_tictoc() {
-        smoke_single_worker(CcScheme::TicToc);
+        smoke_worker::<TicToc>();
     }
 
-    /// The shim's hand-written scheme→scan-driver mapping must stay in
-    /// lockstep with the static impls' `CcProtocol::scan` choices: run an
-    /// identical insert/delete/scan history through both flavors and
-    /// compare what the scans observed (rows and retry accounting).
+    /// Every scheme's `CcProtocol::scan` observes exactly the committed
+    /// range after an insert and a delete inside it, in one scan call.
     #[test]
-    fn shim_and_mono_scan_drivers_agree() {
-        fn scan_history<P: CcProtocol>(db: &Arc<Database>) -> (usize, u64, Vec<u64>) {
-            let scheme = db.scheme();
-            let parts: &[u32] = if scheme == CcScheme::HStore {
-                &[0]
-            } else {
-                &[]
-            };
+    fn scans_observe_the_committed_range() {
+        fn scan_history<P: CcProtocol>() -> (usize, u64, Vec<u64>) {
+            let mut cat = Catalog::new();
+            cat.add_ordered_table("t", Schema::key_plus_payload(2, 8), 100);
+            let db = Database::new(crate::config::EngineConfig::new(P::SCHEME, 1), cat).unwrap();
+            db.load_table(0, (0..40u64).filter(|k| k % 2 == 0), |s, r, k| {
+                row::set_u64(s, r, 0, k);
+                row::set_u64(s, r, 1, k)
+            })
+            .unwrap();
             let mut ctx = db.worker_as::<P>(0);
-            ctx.run_txn(parts, |t| {
+            ctx.run_txn(&[0], |t| {
                 t.insert(0, 25, |s, d| {
                     row::set_u64(s, d, 0, 25);
                     row::set_u64(s, d, 1, 7)
                 })
             })
             .unwrap();
-            ctx.run_txn(parts, |t| t.delete(0, 22)).unwrap();
+            ctx.run_txn(&[0], |t| t.delete(0, 22)).unwrap();
             let mut keys = Vec::new();
             let n = ctx
-                .run_txn(parts, |t| {
+                .run_txn(&[0], |t| {
                     keys.clear();
                     t.scan(0, 18, 27, |k, _, _| keys.push(k))
                 })
@@ -1253,23 +1092,9 @@ mod tests {
             (n, ctx.stats.scans, keys)
         }
         for scheme in CcScheme::ALL {
-            let build = || {
-                let mut cat = Catalog::new();
-                cat.add_ordered_table("t", Schema::key_plus_payload(2, 8), 100);
-                let db = Database::new(crate::config::EngineConfig::new(scheme, 1), cat).unwrap();
-                db.load_table(0, (0..40u64).filter(|k| k % 2 == 0), |s, r, k| {
-                    row::set_u64(s, r, 0, k);
-                    row::set_u64(s, r, 1, k)
-                })
-                .unwrap();
-                db
-            };
-            let shim = scan_history::<AnyScheme>(&build());
-            let mono = crate::schemes::dispatch_protocol!(scheme, P => scan_history::<P>(&build()));
-            assert_eq!(shim, mono, "{scheme}: shim and mono scans diverged");
             assert_eq!(
-                shim.2,
-                vec![18, 20, 24, 25, 26],
+                crate::dispatch_protocol!(scheme, P => scan_history::<P>()),
+                (5, 1, vec![18, 20, 24, 25, 26]),
                 "{scheme}: wrong scan result"
             );
         }
@@ -1279,7 +1104,7 @@ mod tests {
     #[should_panic(expected = "instantiated against")]
     fn mismatched_protocol_is_rejected() {
         let db = db(CcScheme::NoWait, 1);
-        let _ = WorkerCtx::<crate::schemes::Silo>::new(db, 0);
+        let _ = WorkerCtx::<Silo>::new(db, 0);
     }
 
     #[test]
@@ -1287,11 +1112,12 @@ mod tests {
         // Eager schemes publish inserts and withdraw deletes immediately;
         // an abort after insert+delete of the same key must not resurrect
         // the key from the delete's undo record.
-        for scheme in [CcScheme::NoWait, CcScheme::HStore] {
+        fn check<P: CcProtocol>() {
+            let scheme = P::SCHEME;
             let mut cat = Catalog::new();
             cat.add_ordered_table("t", Schema::key_plus_payload(1, 8), 100);
             let db = Database::new(crate::config::EngineConfig::new(scheme, 2), cat).unwrap();
-            let mut ctx = db.worker(0);
+            let mut ctx = db.worker_as::<P>(0);
             let r: Result<(), TxnError> = ctx.run_txn(&[0, 1], |t| {
                 t.insert(0, 7, |s, d| row::set_u64(s, d, 0, 7))?;
                 t.delete(0, 7)?;
@@ -1307,12 +1133,14 @@ mod tests {
                 .unwrap();
             assert!(db.peek(0, 7).is_ok());
         }
+        check::<NoWait>();
+        check::<HStore>();
     }
 
     #[test]
     fn missing_key_is_a_db_error_not_an_abort() {
         let db = db(CcScheme::NoWait, 1);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<NoWait>(0);
         ctx.begin(&[], None).unwrap();
         let r = ctx.read(0, 9999);
         assert!(matches!(r, Err(TxnError::Db(DbError::KeyNotFound { .. }))));

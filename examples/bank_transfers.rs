@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use abyss::common::{CcScheme, PartId};
-use abyss::core::{Database, EngineConfig};
+use abyss::core::{dispatch_protocol, CcProtocol, Database, EngineConfig};
 use abyss::storage::{row, Catalog, Schema};
 
 const ACCOUNTS: u64 = 1024;
@@ -29,7 +29,8 @@ impl Rng {
     }
 }
 
-fn run(scheme: CcScheme, hot: bool) -> (f64, f64) {
+fn run<P: CcProtocol>(hot: bool) -> (f64, f64) {
+    let scheme = P::SCHEME;
     let mut catalog = Catalog::new();
     let accounts = catalog.add_table("accounts", Schema::key_plus_payload(1, 8), ACCOUNTS);
     let db = Database::new(EngineConfig::new(scheme, WORKERS), catalog).unwrap();
@@ -48,7 +49,7 @@ fn run(scheme: CcScheme, hot: bool) -> (f64, f64) {
             let db = Arc::clone(&db);
             let aborts = &aborts;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 let mut rng = Rng(0xBEEF + u64::from(w));
                 for _ in 0..TRANSFERS_PER_WORKER {
                     let from = rng.next() % key_space;
@@ -105,8 +106,8 @@ fn main() {
         "scheme", "low-cont txn/s", "aborts", "high-cont txn/s", "aborts"
     );
     for scheme in CcScheme::ALL {
-        let (tps_low, ar_low) = run(scheme, false);
-        let (tps_high, ar_high) = run(scheme, true);
+        let (tps_low, ar_low) = dispatch_protocol!(scheme, P => run::<P>(false));
+        let (tps_high, ar_high) = dispatch_protocol!(scheme, P => run::<P>(true));
         println!(
             "{:<11} {:>14.0} {:>7.1}%   {:>14.0} {:>7.1}%",
             scheme.to_string(),

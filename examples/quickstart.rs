@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use abyss::common::{AbortReason, CcScheme};
-use abyss::core::{Database, EngineConfig};
+use abyss::core::{dispatch_protocol, CcProtocol, Database, EngineConfig};
 use abyss::storage::{row, Catalog, Schema};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     let mut catalog = Catalog::new();
     let inventory = catalog.add_table("inventory", Schema::key_plus_payload(2, 8), 10_000);
 
-    // Pick any of the paper's seven schemes here.
+    // Pick any of the nine schemes here.
     let scheme = CcScheme::NoWait;
     let db = Database::new(EngineConfig::new(scheme, 4), catalog).expect("valid config");
 
@@ -29,7 +29,9 @@ fn main() {
     .expect("load");
 
     // Four threads sell items concurrently; oversells must be impossible.
-    sell_concurrently(&db, inventory);
+    // Workers are typed by their scheme: `dispatch_protocol!` binds `P` to
+    // the type for the runtime value.
+    dispatch_protocol!(scheme, P => sell_concurrently::<P>(&db, inventory));
 
     let stock = db.sum_column(inventory, 1);
     let sold = db.sum_column(inventory, 2);
@@ -39,12 +41,12 @@ fn main() {
     println!("stock + sold == initial stock ✓ (serializable)");
 }
 
-fn sell_concurrently(db: &Arc<Database>, inventory: u32) {
+fn sell_concurrently<P: CcProtocol>(db: &Arc<Database>, inventory: u32) {
     std::thread::scope(|s| {
         for w in 0..4u32 {
             let db = Arc::clone(db);
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 let mut sold = 0u32;
                 let mut key = u64::from(w) * 17 % 1000;
                 while sold < 2000 {

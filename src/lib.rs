@@ -6,12 +6,12 @@
 //!
 //! * [`common`] — ids, schemes, stats, RNG/Zipf, transaction templates.
 //! * [`storage`] — catalog, row store, hash index, memory pools.
-//! * [`core`] — the multi-threaded main-memory DBMS with seven pluggable
+//! * [`core`] — the multi-threaded main-memory DBMS with nine pluggable
 //!   concurrency-control schemes.
 //! * [`sim`] — the deterministic many-core simulator (Graphite substitute)
 //!   used to scale the evaluation to 1024 cores.
 //! * [`workload`] — YCSB and TPC-C generators.
-//! * [`bench`] — the unified benchmark harness and figure experiments
+//! * [`bench`](mod@bench) — the unified benchmark harness and figure experiments
 //!   (see DESIGN.md, "The bench harness").
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system map.

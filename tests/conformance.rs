@@ -33,7 +33,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use abyss::common::{CcScheme, PartId};
-use abyss::core::{run_workers_bounded, Database, EngineConfig, WorkerCtx};
+use abyss::core::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
+use abyss::core::{
+    dispatch_protocol, run_workers_bounded, CcProtocol, Database, EngineConfig, WorkerCtx,
+};
 use abyss::storage::{row, Catalog, Schema};
 
 const WORKERS: u32 = 4;
@@ -84,46 +87,33 @@ enum Mode {
     Split,
 }
 
-/// An anomaly generator + detector. Returns `Err(report)` when the
-/// anomaly is *observed*; the conformance matrix asserts `Ok` in
-/// [`Mode::Txn`], the power tests assert `Err` in [`Mode::Split`].
-type AnomalyFn = fn(CcScheme, Mode) -> Result<(), String>;
-
-struct Anomaly {
-    name: &'static str,
-    check: AnomalyFn,
-}
-
-const ANOMALIES: [Anomaly; 5] = [
-    Anomaly {
-        name: "lost_update",
-        check: lost_update,
-    },
-    Anomaly {
-        name: "write_skew",
-        check: write_skew,
-    },
-    Anomaly {
-        name: "read_only_snapshot",
-        check: read_only_snapshot,
-    },
-    Anomaly {
-        name: "double_scan_phantom",
-        check: double_scan_phantom,
-    },
-    Anomaly {
-        name: "delete_resurrection",
-        check: delete_resurrection,
-    },
+/// The anomaly generators, by name (see [`check`]).
+const ANOMALIES: [&str; 5] = [
+    "lost_update",
+    "write_skew",
+    "read_only_snapshot",
+    "double_scan_phantom",
+    "delete_resurrection",
 ];
 
-fn run_anomaly(name: &str, scheme: CcScheme) {
-    let a = ANOMALIES
-        .iter()
-        .find(|a| a.name == name)
-        .unwrap_or_else(|| panic!("unknown anomaly {name}"));
-    if let Err(report) = (a.check)(scheme, Mode::Txn) {
-        panic!("{scheme}/{name}: {report}");
+/// Run anomaly generator + detector `name` under scheme `P`. Returns
+/// `Err(report)` when the anomaly is *observed*; the conformance matrix
+/// asserts `Ok` in [`Mode::Txn`], the power tests assert `Err` in
+/// [`Mode::Split`].
+fn check<P: CcProtocol>(name: &str, mode: Mode) -> Result<(), String> {
+    match name {
+        "lost_update" => lost_update::<P>(mode),
+        "write_skew" => write_skew::<P>(mode),
+        "read_only_snapshot" => read_only_snapshot::<P>(mode),
+        "double_scan_phantom" => double_scan_phantom::<P>(mode),
+        "delete_resurrection" => delete_resurrection::<P>(mode),
+        _ => panic!("unknown anomaly {name}"),
+    }
+}
+
+fn run_anomaly<P: CcProtocol>(name: &str) {
+    if let Err(report) = check::<P>(name, Mode::Txn) {
+        panic!("{}/{name}: {report}", P::SCHEME);
     }
 }
 
@@ -202,7 +192,8 @@ fn all_partitions(scheme: CcScheme) -> Vec<PartId> {
 /// Split: the RMW is torn into a read transaction and a blind-write
 /// transaction; two workers in lockstep then overwrite each other and an
 /// increment vanishes.
-fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
+fn lost_update<P: CcProtocol>(mode: Mode) -> Result<(), String> {
+    let scheme = P::SCHEME;
     let db = accounts_db(scheme, 64);
     let committed = AtomicU64::new(0);
     match mode {
@@ -212,7 +203,7 @@ fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                     let db = Arc::clone(&db);
                     let committed = &committed;
                     s.spawn(move || {
-                        let mut ctx = db.worker(w);
+                        let mut ctx = db.worker_as::<P>(w);
                         let mut rng = Rng(0x1234_5678 + u64::from(w));
                         for _ in 0..300 {
                             let key = rng.next() % 8;
@@ -236,7 +227,7 @@ fn lost_update(scheme: CcScheme, mode: Mode) -> Result<(), String> {
                     let db = Arc::clone(&db);
                     let (committed, barrier) = (&committed, &barrier);
                     s.spawn(move || {
-                        let mut ctx = db.worker(w);
+                        let mut ctx = db.worker_as::<P>(w);
                         let parts = partitions_for(scheme, &[0]);
                         for _ in 0..8 {
                             barrier.wait();
@@ -283,11 +274,12 @@ const SKEW_ROUNDS: u64 = 64;
 /// committed round ending at `x + y = 0` is write skew.
 /// Split mode tears the read and the conditional write apart: both
 /// workers read `2`, then both zero their key.
-fn write_skew(scheme: CcScheme, mode: Mode) -> Result<(), String> {
+fn write_skew<P: CcProtocol>(mode: Mode) -> Result<(), String> {
+    let scheme = P::SCHEME;
     let db = accounts_db(scheme, SKEW_ROUNDS * 2);
     // Reset balances to 1 so sums are tiny and exact.
     for k in 0..SKEW_ROUNDS * 2 {
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<P>(0);
         ctx.run_txn(&partitions_for(scheme, &[k]), |t| {
             t.update(0, k, |s, d| row::set_u64(s, d, 1, 1))
         })
@@ -299,7 +291,7 @@ fn write_skew(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let db = Arc::clone(&db);
             let barrier = &barrier;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 for r in 0..SKEW_ROUNDS {
                     let (x, y) = (r * 2, r * 2 + 1);
                     let mine = if w == 0 { x } else { y };
@@ -361,7 +353,8 @@ fn write_skew(scheme: CcScheme, mode: Mode) -> Result<(), String> {
 /// serial history could produce — exactly the initial total. Split mode
 /// tears a transfer into separately committed debit and credit halves and
 /// reads between them.
-fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
+fn read_only_snapshot<P: CcProtocol>(mode: Mode) -> Result<(), String> {
+    let scheme = P::SCHEME;
     const ACCOUNTS: u64 = 16;
     let db = accounts_db(scheme, ACCOUNTS);
     let expected = INITIAL * ACCOUNTS;
@@ -371,7 +364,7 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
     if mode == Mode::Split {
         // Deterministic single-threaded injection: debit committed,
         // observe, credit committed.
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<P>(0);
         let parts = partitions_for(scheme, &[0]);
         ctx.run_txn(&parts, |t| {
             t.update(0, 0, |s, d| {
@@ -410,7 +403,7 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let db = Arc::clone(&db);
             let stop = &stop;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 let mut rng = Rng(0x9999 + u64::from(w));
                 while !stop.load(Ordering::Relaxed) {
                     let from = rng.next() % ACCOUNTS;
@@ -442,7 +435,7 @@ fn read_only_snapshot(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let db = Arc::clone(&db);
             let (stop, violations, all_parts) = (&stop, &violations, &all_parts);
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 for _ in 0..150 {
                     let total = ctx
                         .run_txn(all_parts, |t| {
@@ -483,9 +476,10 @@ const PHANTOM_RANGE: u64 = 64;
 const PHANTOM_SCANNERS: u32 = 2;
 const PHANTOM_TRIALS: u64 = 500; // per scanner ⇒ 1000 committed scans
 
-fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
+fn double_scan_phantom<P: CcProtocol>(mode: Mode) -> Result<(), String> {
+    let scheme = P::SCHEME;
     if mode == Mode::Split {
-        return double_scan_split(scheme);
+        return double_scan_split::<P>();
     }
     let mut cat = Catalog::new();
     // Generous headroom: every churn insert takes a fresh arena slot (rows
@@ -528,9 +522,9 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let (inserted, deleted, stop, all_parts) = (&inserted, &deleted, &stop, &all_parts);
             let start = &start;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 start.wait();
-                let ins = |ctx: &mut WorkerCtx, key: u64| {
+                let ins = |ctx: &mut WorkerCtx<P>, key: u64| {
                     ctx.run_txn(all_parts, |t| {
                         t.insert(0, key, |s, d| {
                             row::set_u64(s, d, 0, key);
@@ -568,7 +562,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
             let (deleted, stop, all_parts, violations) = (&deleted, &stop, &all_parts, &violations);
             let start = &start;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 start.wait();
                 let mut rng = Rng(0xF00D + u64::from(w));
                 for trial in 0..PHANTOM_TRIALS {
@@ -628,7 +622,7 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
     // Reconcile: committed state == loaded evens + inserts − deletes.
     let expected =
         PHANTOM_RANGE + inserted.load(Ordering::Relaxed) - deleted.load(Ordering::Relaxed);
-    let mut ctx = db.worker(0);
+    let mut ctx = db.worker_as::<P>(0);
     let final_count = ctx
         .run_txn(&all_parts, |t| t.scan(0, 0, u64::MAX, |_, _, _| {}))
         .unwrap();
@@ -646,7 +640,8 @@ fn double_scan_phantom(scheme: CcScheme, mode: Mode) -> Result<(), String> {
 /// Split-mode phantom: the double scan is torn across two transactions
 /// with a committed insert in between — the key-set comparison must see
 /// the planted phantom.
-fn double_scan_split(scheme: CcScheme) -> Result<(), String> {
+fn double_scan_split<P: CcProtocol>() -> Result<(), String> {
+    let scheme = P::SCHEME;
     let mut cat = Catalog::new();
     cat.add_ordered_table("scanned", Schema::key_plus_payload(1, 8), 256);
     let db = Database::new(logged(EngineConfig::new(scheme, WORKERS)), cat).unwrap();
@@ -656,9 +651,9 @@ fn double_scan_split(scheme: CcScheme) -> Result<(), String> {
     })
     .unwrap();
     let all_parts = all_partitions(scheme);
-    let mut scanner = db.worker(0);
-    let mut inserter = db.worker(1);
-    let scan = |ctx: &mut WorkerCtx| {
+    let mut scanner = db.worker_as::<P>(0);
+    let mut inserter = db.worker_as::<P>(1);
+    let scan = |ctx: &mut WorkerCtx<P>| {
         ctx.run_txn(&all_parts, |t| {
             let mut keys = Vec::new();
             t.scan(0, 0, 40, |k, _, _| keys.push(k))?;
@@ -693,7 +688,8 @@ fn double_scan_split(scheme: CcScheme) -> Result<(), String> {
 /// transaction, or scan may resurface the key; a legal re-insert must
 /// surface it exactly once. Split mode injects a "botched undo" that
 /// re-inserts the deleted key in a fresh transaction.
-fn delete_resurrection(scheme: CcScheme, mode: Mode) -> Result<(), String> {
+fn delete_resurrection<P: CcProtocol>(mode: Mode) -> Result<(), String> {
+    let scheme = P::SCHEME;
     let mut cat = Catalog::new();
     cat.add_ordered_table("t", Schema::key_plus_payload(1, 8), 256);
     let db = Database::new(logged(EngineConfig::new(scheme, 2)), cat).unwrap();
@@ -708,8 +704,8 @@ fn delete_resurrection(scheme: CcScheme, mode: Mode) -> Result<(), String> {
         vec![]
     };
     let violations = Violations::default();
-    let mut a = db.worker(0);
-    let mut b = db.worker(1);
+    let mut a = db.worker_as::<P>(0);
+    let mut b = db.worker_as::<P>(1);
     let victims = [5u64, 11, 23];
     for &k in &victims {
         match mode {
@@ -804,8 +800,8 @@ fn delete_resurrection(scheme: CcScheme, mode: Mode) -> Result<(), String> {
 /// the scheme list to `CcScheme::ALL` so a new scheme cannot be silently
 /// skipped.
 macro_rules! conformance_matrix {
-    ($($name:ident => $scheme:expr),+ $(,)?) => {
-        const LISTED_SCHEMES: &[CcScheme] = &[$($scheme),+];
+    ($($name:ident => $P:ty),+ $(,)?) => {
+        const LISTED_SCHEMES: &[CcScheme] = &[$(<$P>::SCHEME),+];
 
         #[test]
         fn matrix_covers_every_scheme() {
@@ -819,44 +815,45 @@ macro_rules! conformance_matrix {
         #[test]
         fn matrix_covers_at_least_five_anomalies() {
             assert!(ANOMALIES.len() >= 5);
-            let mut names: Vec<_> = ANOMALIES.iter().map(|a| a.name).collect();
+            let mut names = ANOMALIES.to_vec();
+            names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), ANOMALIES.len(), "duplicate anomaly names");
         }
 
         mod lost_update {
             use super::*;
-            $(#[test] fn $name() { run_anomaly("lost_update", $scheme); })+
+            $(#[test] fn $name() { run_anomaly::<$P>("lost_update"); })+
         }
         mod write_skew {
             use super::*;
-            $(#[test] fn $name() { run_anomaly("write_skew", $scheme); })+
+            $(#[test] fn $name() { run_anomaly::<$P>("write_skew"); })+
         }
         mod read_only_snapshot {
             use super::*;
-            $(#[test] fn $name() { run_anomaly("read_only_snapshot", $scheme); })+
+            $(#[test] fn $name() { run_anomaly::<$P>("read_only_snapshot"); })+
         }
         mod double_scan_phantom {
             use super::*;
-            $(#[test] fn $name() { run_anomaly("double_scan_phantom", $scheme); })+
+            $(#[test] fn $name() { run_anomaly::<$P>("double_scan_phantom"); })+
         }
         mod delete_resurrection {
             use super::*;
-            $(#[test] fn $name() { run_anomaly("delete_resurrection", $scheme); })+
+            $(#[test] fn $name() { run_anomaly::<$P>("delete_resurrection"); })+
         }
     };
 }
 
 conformance_matrix! {
-    dl_detect => CcScheme::DlDetect,
-    no_wait => CcScheme::NoWait,
-    wait_die => CcScheme::WaitDie,
-    timestamp => CcScheme::Timestamp,
-    mvcc => CcScheme::Mvcc,
-    occ => CcScheme::Occ,
-    hstore => CcScheme::HStore,
-    silo => CcScheme::Silo,
-    tictoc => CcScheme::TicToc,
+    dl_detect => DlDetect,
+    no_wait => NoWait,
+    wait_die => WaitDie,
+    timestamp => Timestamp,
+    mvcc => Mvcc,
+    occ => Occ,
+    hstore => HStore,
+    silo => Silo,
+    tictoc => TicToc,
 }
 
 // ------------------------------------------------- detector power checks
@@ -868,9 +865,8 @@ mod power {
     use super::*;
 
     fn assert_fires(name: &str) {
-        let a = ANOMALIES.iter().find(|a| a.name == name).unwrap();
         for scheme in CcScheme::ALL {
-            let r = (a.check)(scheme, Mode::Split);
+            let r = dispatch_protocol!(scheme, P => check::<P>(name, Mode::Split));
             assert!(
                 r.is_err(),
                 "{scheme}/{name}: detector failed to fire on an injected fault"

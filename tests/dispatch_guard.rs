@@ -1,9 +1,8 @@
 //! Source-level guard for the monomorphized CC pipeline: the worker's
 //! access paths must contain **zero** scheme dispatch. All per-scheme
-//! behavior lives behind `CcProtocol`; the only places allowed to match
-//! on the scheme enum are the `dispatch_protocol!` macro (the per-run
-//! monomorphization point) and the `AnyScheme` runtime shim
-//! (`schemes/dispatch.rs`). A `match` on the scheme creeping back into
+//! behavior lives behind `CcProtocol`; the only place allowed to match on
+//! the scheme enum is the `dispatch_protocol!` macro (the per-run
+//! monomorphization point). A `match` on the scheme creeping back into
 //! `worker.rs` or a scheme module is exactly the regression this
 //! refactor removed — fail loudly.
 
@@ -56,6 +55,7 @@ fn scheme_modules_are_dispatch_free() {
     // residual enum dispatch inside them is dead weight on the
     // monomorphized path.
     let sources = [
+        ("mod.rs", include_str!("../crates/core/src/schemes/mod.rs")),
         (
             "twopl.rs",
             include_str!("../crates/core/src/schemes/twopl.rs"),
@@ -92,12 +92,25 @@ fn scheme_modules_are_dispatch_free() {
 }
 
 #[test]
-fn runtime_dispatch_lives_only_in_the_shim() {
-    // Positive control: the shim is *supposed* to dispatch — if this ever
-    // goes empty the guard above is probably matching the wrong strings.
-    let shim = include_str!("../crates/core/src/schemes/dispatch.rs");
-    assert!(
-        !dispatch_patterns(shim).is_empty(),
-        "schemes/dispatch.rs no longer contains the runtime dispatch the guard patterns target"
+fn guard_patterns_fire_on_runtime_dispatch() {
+    // Positive control: a per-operation dispatch of the kind the guards
+    // exist to keep out — if this ever goes empty the guards above are
+    // matching the wrong strings.
+    let fixture = r#"
+        fn read(env: &mut SchemeEnv<'_>, table: TableId, row: RowIdx) -> Result<ReadRef, AbortReason> {
+            match env.db.cfg.scheme {
+                CcScheme::Silo => Silo::read(env, table, row),
+                _ => NoWait::read(env, table, row),
+            }
+        }
+        fn needs_ts(scheme: CcScheme) -> bool {
+            !matches!(scheme, CcScheme::NoWait | CcScheme::Silo)
+        }
+    "#;
+    assert_eq!(
+        dispatch_patterns(fixture),
+        ["match env.db.cfg.scheme", "matches!(scheme"],
+        "the guard patterns no longer recognize runtime scheme dispatch"
     );
+    assert!(dispatch_patterns("fn read() {}").is_empty());
 }

@@ -10,8 +10,8 @@
 //! pass. Two workloads:
 //!
 //! * **engine mix** — a hand-rolled update/insert/delete/scan/counter mix
-//!   driven through the public `WorkerCtx` API (the runtime-dispatch
-//!   path), including ordered-index maintenance;
+//!   driven through the public `WorkerCtx<P>` API, including
+//!   ordered-index maintenance;
 //! * **YCSB-E replay** — the generator-driven bounded benchmark loop
 //!   (`run_workers_bounded`, the monomorphized path), scans + fresh-key
 //!   inserts included.
@@ -21,7 +21,10 @@
 //! and paste the printed table over `GOLDEN`.
 
 use abyss::common::{CcScheme, PartId, TxnTemplate};
-use abyss::core::{run_workers_bounded, Database, EngineConfig, WorkerCtx};
+use abyss::core::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
+use abyss::core::{
+    dispatch_protocol, run_workers_bounded, CcProtocol, Database, EngineConfig, WorkerCtx,
+};
 use abyss::storage::{row, Catalog, Schema};
 use abyss::workload::{ycsb, YcsbConfig, YcsbGen};
 
@@ -140,7 +143,8 @@ fn parts(scheme: CcScheme) -> Vec<PartId> {
 /// are updated at `i+1` and deleted at `i+2`, so insert/update/delete
 /// ordering and index withdrawal are all on the digest's hook; arm 3
 /// range-scans through each scheme's phantom machinery.
-fn mix_txn(ctx: &mut WorkerCtx, scheme: CcScheme, i: u64) {
+fn mix_txn<P: CcProtocol>(ctx: &mut WorkerCtx<P>, i: u64) {
+    let scheme = P::SCHEME;
     let p = parts(scheme);
     let r = ctx.run_txn(&p, |t| {
         t.update_counter(TABLE, (i * 37) % BASE_ROWS, 1, 1)?;
@@ -176,10 +180,10 @@ fn mix_txn(ctx: &mut WorkerCtx, scheme: CcScheme, i: u64) {
 
 /// The hand-rolled mix through the public worker API; returns the final
 /// state digest.
-fn run_mix(scheme: CcScheme) -> u64 {
+fn run_mix<P: CcProtocol>() -> u64 {
     let mut cat = Catalog::new();
     cat.add_ordered_table("t", Schema::key_plus_payload(3, 8), 4_000);
-    let mut cfg = EngineConfig::new(scheme, 1);
+    let mut cfg = EngineConfig::new(P::SCHEME, 1);
     cfg.epoch_interval_us = 0; // manual epochs: nothing wall-clock-driven
     let db = Database::new(cfg, cat).unwrap();
     db.load_table(TABLE, 0..BASE_ROWS, |s, r, k| {
@@ -188,9 +192,9 @@ fn run_mix(scheme: CcScheme) -> u64 {
         row::set_u64(s, r, 2, 0);
     })
     .unwrap();
-    let mut ctx = db.worker(0);
+    let mut ctx = db.worker_as::<P>(0);
     for i in 0..MIX_TXNS {
-        mix_txn(&mut ctx, scheme, i);
+        mix_txn(&mut ctx, i);
     }
     db.state_digest()
 }
@@ -218,8 +222,9 @@ fn run_ycsbe(scheme: CcScheme) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-fn observe(scheme: CcScheme) -> Golden {
-    let mix_digest = run_mix(scheme);
+fn observe<P: CcProtocol>() -> Golden {
+    let scheme = P::SCHEME;
+    let mix_digest = run_mix::<P>();
     let (c, a, t, s, d) = run_ycsbe(scheme);
     Golden {
         scheme: scheme.name(),
@@ -232,12 +237,13 @@ fn observe(scheme: CcScheme) -> Golden {
     }
 }
 
-fn assert_golden(scheme: CcScheme) {
+fn assert_golden<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     let pinned = GOLDEN
         .iter()
         .find(|g| g.scheme == scheme.name())
         .unwrap_or_else(|| panic!("{scheme}: no golden row — regenerate the table"));
-    let observed = observe(scheme);
+    let observed = observe::<P>();
     assert_eq!(
         &observed, pinned,
         "{scheme}: seeded run diverged from its pre-refactor golden digest"
@@ -254,26 +260,26 @@ fn golden_table_covers_all_schemes() {
 }
 
 macro_rules! golden_tests {
-    ($($name:ident => $scheme:expr,)*) => {
+    ($($name:ident => $P:ty,)*) => {
         $(
             #[test]
             fn $name() {
-                assert_golden($scheme);
+                assert_golden::<$P>();
             }
         )*
     };
 }
 
 golden_tests! {
-    golden_dl_detect => CcScheme::DlDetect,
-    golden_no_wait => CcScheme::NoWait,
-    golden_wait_die => CcScheme::WaitDie,
-    golden_timestamp => CcScheme::Timestamp,
-    golden_mvcc => CcScheme::Mvcc,
-    golden_occ => CcScheme::Occ,
-    golden_hstore => CcScheme::HStore,
-    golden_silo => CcScheme::Silo,
-    golden_tictoc => CcScheme::TicToc,
+    golden_dl_detect => DlDetect,
+    golden_no_wait => NoWait,
+    golden_wait_die => WaitDie,
+    golden_timestamp => Timestamp,
+    golden_mvcc => Mvcc,
+    golden_occ => Occ,
+    golden_hstore => HStore,
+    golden_silo => Silo,
+    golden_tictoc => TicToc,
 }
 
 /// Prints a fresh `GOLDEN` table. Run with
@@ -282,8 +288,8 @@ golden_tests! {
 #[test]
 #[ignore = "regeneration helper, not a regression test"]
 fn regenerate_golden_digests() {
-    for &scheme in &CcScheme::ALL {
-        let g = observe(scheme);
+    for scheme in CcScheme::ALL {
+        let g = dispatch_protocol!(scheme, P => observe::<P>());
         println!(
             "    Golden {{\n        scheme: \"{}\",\n        mix_digest: {:#018x},\n        \
              ycsbe_commits: {},\n        ycsbe_aborts: {},\n        ycsbe_tuples: {},\n        \

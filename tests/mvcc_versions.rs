@@ -13,7 +13,8 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use abyss_common::{AbortReason, CcScheme};
 use abyss_core::lockword::to;
-use abyss_core::{Database, EngineConfig, TxnError};
+use abyss_core::schemes::Mvcc;
+use abyss_core::{Database, EngineConfig, TxnError, WorkerCtx};
 use abyss_storage::{mempool, row, Catalog, Schema};
 
 /// The mempool live-block gauge is process-wide; the tests of this file
@@ -45,8 +46,10 @@ fn old_snapshots_see_exactly_the_retained_versions() {
     const K: usize = 4;
     // Worker 0 writes; workers 1..=K+1 each hold one snapshot open.
     let db = build_db(K as u32 + 2, 1, K);
-    let mut writer = db.worker(0);
-    let mut readers: Vec<_> = (1..=K as u32 + 1).map(|w| db.worker(w)).collect();
+    let mut writer = db.worker_as::<Mvcc>(0);
+    let mut readers: Vec<_> = (1..=K as u32 + 1)
+        .map(|w| db.worker_as::<Mvcc>(w))
+        .collect();
     // Reader i begins after i committed writes, so its snapshot is 100 + i.
     for (i, reader) in readers.iter_mut().enumerate() {
         reader.begin(&[], None).unwrap();
@@ -90,7 +93,7 @@ fn single_row_reader_writer_race_keeps_mvto_order() {
     let done = AtomicBool::new(false);
     let (commit_ts, samples) = std::thread::scope(|s| {
         let writer = s.spawn(|| {
-            let mut ctx = db.worker(0);
+            let mut ctx = db.worker_as::<Mvcc>(0);
             let mut commit_ts = Vec::with_capacity(COMMITS as usize);
             start.wait();
             for _ in 0..COMMITS {
@@ -106,7 +109,7 @@ fn single_row_reader_writer_race_keeps_mvto_order() {
             commit_ts
         });
         let reader = s.spawn(|| {
-            let mut ctx = db.worker(1);
+            let mut ctx = db.worker_as::<Mvcc>(1);
             let mut samples = Vec::new();
             let mut lagged = 0u64;
             start.wait();
@@ -162,8 +165,8 @@ fn reads_leave_per_tuple_state_unallocated() {
     let _turn = take_turn();
     const ROWS: u64 = 2_000;
     let db = build_db(1, ROWS, 8);
-    let mut ctx = db.worker(0);
-    let read_all = |ctx: &mut abyss_core::WorkerCtx| {
+    let mut ctx = db.worker_as::<Mvcc>(0);
+    let read_all = |ctx: &mut WorkerCtx<Mvcc>| {
         for k in 0..ROWS {
             let v = ctx.run_txn(&[], |t| t.read_u64(0, k, 1)).unwrap();
             assert_eq!(v, 100);

@@ -11,7 +11,8 @@ use std::collections::{BTreeMap, HashMap};
 use abyss::common::rng::Xoshiro256;
 use abyss::common::zipf::ZipfGen;
 use abyss::common::CcScheme;
-use abyss::core::{Database, EngineConfig};
+use abyss::core::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
+use abyss::core::{CcProtocol, Database, EngineConfig};
 use abyss::storage::{row, BPlusTree, Catalog, HashIndex, MemPool, Schema};
 
 /// Run `property` over `n` deterministic random cases derived from `seed`.
@@ -305,7 +306,8 @@ fn scheme_name_round_trips() {
 /// buffered-write bugs and index divergence without needing concurrency).
 /// Ops: committed/aborted updates, reads, committed/aborted deletes,
 /// re-inserts of deleted keys, and range scans checked against the model.
-fn engine_matches_model(scheme: CcScheme, ops: &[(u8, u64, u64)]) {
+fn engine_matches_model<P: CcProtocol>(ops: &[(u8, u64, u64)]) {
+    let scheme = P::SCHEME;
     let mut catalog = Catalog::new();
     let t = catalog.add_ordered_table("t", Schema::key_plus_payload(1, 8), 512);
     let db = Database::new(EngineConfig::new(scheme, 1), catalog).unwrap();
@@ -316,7 +318,7 @@ fn engine_matches_model(scheme: CcScheme, ops: &[(u8, u64, u64)]) {
     .unwrap();
     let mut model: BTreeMap<u64, u64> = (0..32).map(|k| (k, 100)).collect();
 
-    let mut ctx = db.worker(0);
+    let mut ctx = db.worker_as::<P>(0);
     for &(kind, key, val) in ops {
         let key = key % 32;
         match kind % 7 {
@@ -412,12 +414,12 @@ fn engine_matches_model(scheme: CcScheme, ops: &[(u8, u64, u64)]) {
     );
 }
 
-fn engine_model_cases(scheme: CcScheme) {
-    cases(16, 0xE26 ^ variant_index(scheme) as u64, |rng| {
+fn engine_model_cases<P: CcProtocol>() {
+    cases(16, 0xE26 ^ variant_index(P::SCHEME) as u64, |rng| {
         let ops = random_vec(rng, 60, |r| {
             (r.next_below(256) as u8, r.next_u64(), r.next_u64())
         });
-        engine_matches_model(scheme, &ops);
+        engine_matches_model::<P>(&ops);
     });
 }
 
@@ -449,47 +451,47 @@ fn engine_model_covers_every_scheme() {
 
 #[test]
 fn engine_model_no_wait() {
-    engine_model_cases(CcScheme::NoWait);
+    engine_model_cases::<NoWait>();
 }
 
 #[test]
 fn engine_model_dl_detect() {
-    engine_model_cases(CcScheme::DlDetect);
+    engine_model_cases::<DlDetect>();
 }
 
 #[test]
 fn engine_model_wait_die() {
-    engine_model_cases(CcScheme::WaitDie);
+    engine_model_cases::<WaitDie>();
 }
 
 #[test]
 fn engine_model_timestamp() {
-    engine_model_cases(CcScheme::Timestamp);
+    engine_model_cases::<Timestamp>();
 }
 
 #[test]
 fn engine_model_mvcc() {
-    engine_model_cases(CcScheme::Mvcc);
+    engine_model_cases::<Mvcc>();
 }
 
 #[test]
 fn engine_model_occ() {
-    engine_model_cases(CcScheme::Occ);
+    engine_model_cases::<Occ>();
 }
 
 #[test]
 fn engine_model_hstore() {
-    engine_model_cases(CcScheme::HStore);
+    engine_model_cases::<HStore>();
 }
 
 #[test]
 fn engine_model_silo() {
-    engine_model_cases(CcScheme::Silo);
+    engine_model_cases::<Silo>();
 }
 
 #[test]
 fn engine_model_tictoc() {
-    engine_model_cases(CcScheme::TicToc);
+    engine_model_cases::<TicToc>();
 }
 
 /// Seeded replay: the same generator seed and scheme must yield *bit-equal*

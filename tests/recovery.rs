@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use abyss::common::{CcScheme, PartId};
-use abyss::core::{Database, EngineConfig, TxnError, WorkerCtx};
+use abyss::core::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
+use abyss::core::{CcProtocol, Database, EngineConfig, TxnError, WorkerCtx};
 use abyss::storage::{row, Catalog, FsyncPolicy, Schema};
 
 const TABLE: u32 = 0;
@@ -76,7 +77,8 @@ fn parts(scheme: CcScheme) -> Vec<PartId> {
 
 /// Deterministic transaction `i`: a seeded mix of updates, inserts and
 /// deletes (the same `i` always produces the same committed effect).
-fn apply_txn(ctx: &mut WorkerCtx, scheme: CcScheme, i: u64) {
+fn apply_txn<P: CcProtocol>(ctx: &mut WorkerCtx<P>, i: u64) {
+    let scheme = P::SCHEME;
     let p = parts(scheme);
     let r = ctx.run_txn(&p, |t| {
         // Always bump a base row (spread deterministically).
@@ -112,36 +114,37 @@ const TAIL_TXNS: u64 = 10;
 /// Run the kill scenario: `DURABLE_BATCHES` batches each followed by an
 /// epoch advance + group fence, then `TAIL_TXNS` more commits that never
 /// reach a fence — then drop everything (the kill).
-fn killed_run(scheme: CcScheme, dir: &Path) {
-    let db = build_db(scheme, 1, Some(dir));
-    let mut ctx = db.worker(0);
+fn killed_run<P: CcProtocol>(dir: &Path) {
+    let db = build_db(P::SCHEME, 1, Some(dir));
+    let mut ctx = db.worker_as::<P>(0);
     for b in 0..DURABLE_BATCHES {
         for i in b * BATCH..(b + 1) * BATCH {
-            apply_txn(&mut ctx, scheme, i);
+            apply_txn(&mut ctx, i);
         }
         db.epoch_manager().advance();
         db.log_group_flush();
     }
     for i in DURABLE_BATCHES * BATCH..DURABLE_BATCHES * BATCH + TAIL_TXNS {
-        apply_txn(&mut ctx, scheme, i);
+        apply_txn(&mut ctx, i);
     }
     // Kill: no clean-shutdown flush; the tail epoch's records are only in
     // the in-memory shard buffers and die with the process image.
 }
 
 /// The reference: execute exactly the durable prefix, no logging.
-fn reference_digest(scheme: CcScheme) -> u64 {
-    let db = build_db(scheme, 1, None);
-    let mut ctx = db.worker(0);
+fn reference_digest<P: CcProtocol>() -> u64 {
+    let db = build_db(P::SCHEME, 1, None);
+    let mut ctx = db.worker_as::<P>(0);
     for i in 0..DURABLE_BATCHES * BATCH {
-        apply_txn(&mut ctx, scheme, i);
+        apply_txn(&mut ctx, i);
     }
     db.state_digest()
 }
 
-fn recover_matches_durable_prefix(scheme: CcScheme) {
+fn recover_matches_durable_prefix<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     let dir = tmp_dir(&format!("digest-{scheme}"));
-    killed_run(scheme, &dir);
+    killed_run::<P>(&dir);
 
     let db = build_db(scheme, 1, Some(&dir));
     let report = db.recover_from_log().unwrap();
@@ -160,7 +163,7 @@ fn recover_matches_durable_prefix(scheme: CcScheme) {
         "{scheme}: the non-durable tail must be truncated"
     );
     let recovered = db.state_digest();
-    let reference = reference_digest(scheme);
+    let reference = reference_digest::<P>();
     assert_eq!(
         recovered, reference,
         "{scheme}: recovered state diverges from the durable-prefix reference"
@@ -190,49 +193,40 @@ fn recover_matches_durable_prefix(scheme: CcScheme) {
 }
 
 macro_rules! digest_tests {
-    ($($name:ident => $scheme:expr,)*) => {$(
+    ($($name:ident => $P:ty,)*) => {
+        $(
+            #[test]
+            fn $name() {
+                recover_matches_durable_prefix::<$P>();
+            }
+        )*
+
+        /// The digest matrix must cover every scheme (sync guard, same
+        /// pattern as the conformance harness).
         #[test]
-        fn $name() {
-            recover_matches_durable_prefix($scheme);
+        fn digest_matrix_covers_all_schemes() {
+            assert_eq!([$(<$P>::SCHEME),*], CcScheme::ALL);
         }
-    )*};
+    };
 }
 
 digest_tests! {
-    recover_digest_dl_detect => CcScheme::DlDetect,
-    recover_digest_no_wait => CcScheme::NoWait,
-    recover_digest_wait_die => CcScheme::WaitDie,
-    recover_digest_timestamp => CcScheme::Timestamp,
-    recover_digest_mvcc => CcScheme::Mvcc,
-    recover_digest_occ => CcScheme::Occ,
-    recover_digest_hstore => CcScheme::HStore,
-    recover_digest_silo => CcScheme::Silo,
-    recover_digest_tictoc => CcScheme::TicToc,
-}
-
-/// The digest matrix above must cover every scheme (sync guard, same
-/// pattern as the conformance harness).
-#[test]
-fn digest_matrix_covers_all_schemes() {
-    let covered = [
-        CcScheme::DlDetect,
-        CcScheme::NoWait,
-        CcScheme::WaitDie,
-        CcScheme::Timestamp,
-        CcScheme::Mvcc,
-        CcScheme::Occ,
-        CcScheme::HStore,
-        CcScheme::Silo,
-        CcScheme::TicToc,
-    ];
-    assert_eq!(covered, CcScheme::ALL);
+    recover_digest_dl_detect => DlDetect,
+    recover_digest_no_wait => NoWait,
+    recover_digest_wait_die => WaitDie,
+    recover_digest_timestamp => Timestamp,
+    recover_digest_mvcc => Mvcc,
+    recover_digest_occ => Occ,
+    recover_digest_hstore => HStore,
+    recover_digest_silo => Silo,
+    recover_digest_tictoc => TicToc,
 }
 
 #[test]
 fn recovered_engine_keeps_logging_after_a_second_crash() {
     let scheme = CcScheme::Silo;
     let dir = tmp_dir("two-crashes");
-    killed_run(scheme, &dir);
+    killed_run::<Silo>(&dir);
 
     // Crash 1 → recover, run more (epochs now continue past the replayed
     // ones), fence, crash again mid-tail.
@@ -243,24 +237,24 @@ fn recovered_engine_keeps_logging_after_a_second_crash() {
         resumed_epoch > DURABLE_BATCHES,
         "recovery must advance epochs past the replayed history"
     );
-    let mut ctx = db.worker(0);
+    let mut ctx = db.worker_as::<Silo>(0);
     for i in 100..110 {
-        apply_txn(&mut ctx, scheme, i);
+        apply_txn(&mut ctx, i);
     }
     db.epoch_manager().advance();
     db.log_group_flush();
     for i in 110..115 {
-        apply_txn(&mut ctx, scheme, i); // lost tail
+        apply_txn(&mut ctx, i); // lost tail
     }
     let expected = {
         // Reference: durable prefix of crash 1 + the fenced continuation.
         let r = build_db(scheme, 1, None);
-        let mut c = r.worker(0);
+        let mut c = r.worker_as::<Silo>(0);
         for i in 0..DURABLE_BATCHES * BATCH {
-            apply_txn(&mut c, scheme, i);
+            apply_txn(&mut c, i);
         }
         for i in 100..110 {
-            apply_txn(&mut c, scheme, i);
+            apply_txn(&mut c, i);
         }
         r.state_digest()
     };
@@ -279,7 +273,8 @@ fn recovered_engine_keeps_logging_after_a_second_crash() {
 /// initial + records_applied — each commit logs the full counter image,
 /// so per-key last-writer-wins replay counts every durable increment
 /// exactly once; any torn record or mis-ordered replay breaks the sum.
-fn multiworker_kill_and_recover(scheme: CcScheme) {
+fn multiworker_kill_and_recover<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     const WORKERS: u32 = 4;
     const TXNS_PER_WORKER: u64 = 2_000;
     let dir = tmp_dir(&format!("mw-{scheme}"));
@@ -301,7 +296,7 @@ fn multiworker_kill_and_recover(scheme: CcScheme) {
         // (a fast run would otherwise finish before the first 1 ms fence
         // and recover nothing).
         let first_commit_epoch = {
-            let mut ctx = db.worker(0);
+            let mut ctx = db.worker_as::<P>(0);
             let r: Result<u64, TxnError> = ctx.run_txn(&[], |t| t.update_counter(TABLE, 0, 1, 1));
             r.unwrap();
             db.epoch_manager().current()
@@ -310,7 +305,7 @@ fn multiworker_kill_and_recover(scheme: CcScheme) {
             for w in 0..WORKERS {
                 let db = Arc::clone(&db);
                 scope.spawn(move || {
-                    let mut ctx = db.worker(w);
+                    let mut ctx = db.worker_as::<P>(w);
                     for i in 0..TXNS_PER_WORKER {
                         let key = (u64::from(w) * 7919 + i * 13) % BASE_ROWS;
                         let r: Result<u64, TxnError> =
@@ -368,12 +363,12 @@ fn multiworker_kill_and_recover(scheme: CcScheme) {
 
 #[test]
 fn multiworker_kill_recover_no_wait() {
-    multiworker_kill_and_recover(CcScheme::NoWait);
+    multiworker_kill_and_recover::<NoWait>();
 }
 
 #[test]
 fn multiworker_kill_recover_silo() {
-    multiworker_kill_and_recover(CcScheme::Silo);
+    multiworker_kill_and_recover::<Silo>();
 }
 
 #[test]
@@ -384,9 +379,9 @@ fn per_commit_fsync_recovers_every_commit() {
     let dir = tmp_dir("percommit");
     {
         let db = build_db_with(scheme, 1, Some(&dir), FsyncPolicy::EveryCommit);
-        let mut ctx = db.worker(0);
+        let mut ctx = db.worker_as::<NoWait>(0);
         for i in 0..25 {
-            apply_txn(&mut ctx, scheme, i);
+            apply_txn(&mut ctx, i);
         }
         // Kill with zero group fences ever run.
     }
@@ -395,9 +390,9 @@ fn per_commit_fsync_recovers_every_commit() {
     assert_eq!(report.records_applied, 25);
     let reference = {
         let r = build_db(scheme, 1, None);
-        let mut c = r.worker(0);
+        let mut c = r.worker_as::<NoWait>(0);
         for i in 0..25 {
-            apply_txn(&mut c, scheme, i);
+            apply_txn(&mut c, i);
         }
         r.state_digest()
     };

@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use abyss_common::{CcScheme, PartId};
-use abyss_core::{Database, EngineConfig};
+use abyss_core::schemes::{DlDetect, HStore, Mvcc, NoWait, Occ, Silo, TicToc, Timestamp, WaitDie};
+use abyss_core::{CcProtocol, Database, EngineConfig};
 use abyss_storage::{row, Catalog, Schema};
 
 const ACCOUNTS: u64 = 64;
@@ -67,7 +68,8 @@ impl Rng {
     }
 }
 
-fn read_atomicity_check(scheme: CcScheme) {
+fn read_atomicity_check<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     let db = build_db(scheme);
     let stop = AtomicBool::new(false);
     // Writers keep columns 1 and 2 of each tuple equal; readers must never
@@ -77,7 +79,7 @@ fn read_atomicity_check(scheme: CcScheme) {
             let db = Arc::clone(&db);
             let stop = &stop;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 let mut rng = Rng(42 + u64::from(w));
                 while !stop.load(Ordering::Relaxed) {
                     let key = rng.next() % 4;
@@ -97,7 +99,7 @@ fn read_atomicity_check(scheme: CcScheme) {
             let db = Arc::clone(&db);
             let stop = &stop;
             s.spawn(move || {
-                let mut ctx = db.worker(w);
+                let mut ctx = db.worker_as::<P>(w);
                 let mut rng = Rng(7 + u64::from(w));
                 for _ in 0..1000 {
                     let key = rng.next() % 4;
@@ -134,10 +136,11 @@ fn to_gap_db(scheme: CcScheme) -> Arc<Database> {
     db
 }
 
-fn older_insert_after_newer_scan_aborts(scheme: CcScheme) {
+fn older_insert_after_newer_scan_aborts<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     let db = to_gap_db(scheme);
-    let mut old = db.worker(0);
-    let mut new = db.worker(1);
+    let mut old = db.worker_as::<P>(0);
+    let mut new = db.worker_as::<P>(1);
     old.begin(&[], None).unwrap(); // smaller timestamp
     new.begin(&[], None).unwrap();
     new.scan(0, 0, 40, |_, _, _| {}).unwrap();
@@ -157,10 +160,11 @@ fn older_insert_after_newer_scan_aborts(scheme: CcScheme) {
     assert!(db.peek(0, 5).is_err(), "{scheme}: phantom key was planted");
 }
 
-fn older_scan_after_newer_delete_aborts(scheme: CcScheme) {
+fn older_scan_after_newer_delete_aborts<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     let db = to_gap_db(scheme);
-    let mut old = db.worker(0);
-    let mut new = db.worker(1);
+    let mut old = db.worker_as::<P>(0);
+    let mut new = db.worker_as::<P>(1);
     old.begin(&[], None).unwrap(); // smaller timestamp
     new.begin(&[], None).unwrap();
     new.delete(0, 8).unwrap();
@@ -181,7 +185,8 @@ fn older_scan_after_newer_delete_aborts(scheme: CcScheme) {
 /// committed insert — and a transaction inserting into its *own* scanned
 /// range must still commit (the own-insert node-set refresh must not
 /// absorb foreign bumps, and must not self-abort either).
-fn occ_cross_insert_write_skew(scheme: CcScheme) {
+fn occ_cross_insert_write_skew<P: CcProtocol>() {
+    let scheme = P::SCHEME;
     // Few enough rows that the inserts below don't split the leaf — a
     // split is a legitimate (conservative) extra abort that would mask
     // what this test pins down.
@@ -193,8 +198,8 @@ fn occ_cross_insert_write_skew(scheme: CcScheme) {
         row::set_u64(s, r, 1, 1);
     })
     .unwrap();
-    let mut a = db.worker(0);
-    let mut b = db.worker(1);
+    let mut a = db.worker_as::<P>(0);
+    let mut b = db.worker_as::<P>(1);
     a.begin(&[], None).unwrap();
     b.begin(&[], None).unwrap();
     a.scan(0, 0, 100, |_, _, _| {}).unwrap();
@@ -222,42 +227,42 @@ fn occ_cross_insert_write_skew(scheme: CcScheme) {
 
 #[test]
 fn occ_cross_insert_write_skew_aborts() {
-    occ_cross_insert_write_skew(CcScheme::Occ);
+    occ_cross_insert_write_skew::<Occ>();
 }
 
 #[test]
 fn silo_cross_insert_write_skew_aborts() {
-    occ_cross_insert_write_skew(CcScheme::Silo);
+    occ_cross_insert_write_skew::<Silo>();
 }
 
 #[test]
 fn tictoc_cross_insert_write_skew_aborts() {
-    occ_cross_insert_write_skew(CcScheme::TicToc);
+    occ_cross_insert_write_skew::<TicToc>();
 }
 
 #[test]
 fn timestamp_gap_rts_blocks_older_inserter() {
-    older_insert_after_newer_scan_aborts(CcScheme::Timestamp);
+    older_insert_after_newer_scan_aborts::<Timestamp>();
 }
 
 #[test]
 fn mvcc_gap_rts_blocks_older_inserter() {
-    older_insert_after_newer_scan_aborts(CcScheme::Mvcc);
+    older_insert_after_newer_scan_aborts::<Mvcc>();
 }
 
 #[test]
 fn timestamp_del_wts_blocks_older_scanner() {
-    older_scan_after_newer_delete_aborts(CcScheme::Timestamp);
+    older_scan_after_newer_delete_aborts::<Timestamp>();
 }
 
 #[test]
 fn mvcc_del_wts_blocks_older_scanner() {
-    older_scan_after_newer_delete_aborts(CcScheme::Mvcc);
+    older_scan_after_newer_delete_aborts::<Mvcc>();
 }
 
 macro_rules! scheme_tests {
-    ($($name:ident => $scheme:expr),+ $(,)?) => {
-        const LISTED_SCHEMES: &[CcScheme] = &[$($scheme),+];
+    ($($name:ident => $P:ty),+ $(,)?) => {
+        const LISTED_SCHEMES: &[CcScheme] = &[$(<$P>::SCHEME),+];
 
         /// Sync guard: the per-scheme test list must track `CcScheme::ALL`
         /// exactly, so a new scheme cannot be silently skipped.
@@ -272,19 +277,19 @@ macro_rules! scheme_tests {
 
         mod read_atomicity {
             use super::*;
-            $(#[test] fn $name() { read_atomicity_check($scheme); })+
+            $(#[test] fn $name() { read_atomicity_check::<$P>(); })+
         }
     };
 }
 
 scheme_tests! {
-    dl_detect => CcScheme::DlDetect,
-    no_wait => CcScheme::NoWait,
-    wait_die => CcScheme::WaitDie,
-    timestamp => CcScheme::Timestamp,
-    mvcc => CcScheme::Mvcc,
-    occ => CcScheme::Occ,
-    hstore => CcScheme::HStore,
-    silo => CcScheme::Silo,
-    tictoc => CcScheme::TicToc,
+    dl_detect => DlDetect,
+    no_wait => NoWait,
+    wait_die => WaitDie,
+    timestamp => Timestamp,
+    mvcc => Mvcc,
+    occ => Occ,
+    hstore => HStore,
+    silo => Silo,
+    tictoc => TicToc,
 }

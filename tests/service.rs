@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use abyss::common::{CcScheme, Priority};
 use abyss::core::executor::run_template;
+use abyss::core::schemes::NoWait;
 use abyss::core::{
     Database, EngineConfig, ProcRegistry, ServeConfig, SubmitError, TicketStatus, TxnService,
     TxnTicket,
@@ -187,7 +188,7 @@ fn overload_run(scheme: CcScheme) {
 
     // ---- (c) drain digest == serial replay of committed txns -------------
     let replay_db = build_db(CcScheme::NoWait);
-    let mut ctx = replay_db.worker(0);
+    let mut ctx = replay_db.worker_as::<NoWait>(0);
     for args in &committed_args {
         let tmpl = procs::ycsb_rmw(args);
         run_template(&mut ctx, &tmpl).expect("serial replay commits");
