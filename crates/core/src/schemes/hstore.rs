@@ -84,7 +84,6 @@ impl CcProtocol for HStore {
     }
 
     /// Partition ownership already serializes the scan: a plain walk.
-    #[inline]
     fn scan(
         env: &mut SchemeEnv<'_>,
         table: TableId,
